@@ -382,6 +382,7 @@ class ThreadedBackend(RuntimeBackend):
             record_keys=True,
             reconfig=reconfig_view,
             metrics=opts.metrics_config(),
+            pace=opts.pace,
         )
         return AttemptOutcome(
             outputs=res.outputs,
@@ -472,6 +473,7 @@ class ProcessBackend(RuntimeBackend):
             record_keys=True,
             reconfig=reconfig_view,
             metrics=opts.metrics_config(),
+            pace=opts.pace,
         )
         return AttemptOutcome(
             outputs=res.outputs,

@@ -74,7 +74,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import RuntimeFault
+from ..core.errors import InputError, RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_p_valid
@@ -84,11 +84,8 @@ from .metrics import MetricsConfig, MetricsExporter
 from .process import ProcessResult, ProcessRuntime, _drive_worker
 from .protocol import (
     INIT_STATE,
-    end_timestamp,
     initial_leaf_states,
-    paced_producer_schedule,
-    paced_schedule_anchor,
-    producer_messages,
+    pump_streams,
 )
 from .quiesce import RootReconfigView
 from .runtime import InputStream
@@ -668,37 +665,25 @@ class ClusterLauncher:
                 {wid: s.fileno() for wid, s in coord_socks.items()}, pump_guard
             )
             batcher = BatchingSender(sender.send_batch, control, self.policy)
-            end_ts = end_timestamp(streams)
-            if pace is not None:
-                # Open-loop pump: replay the merged schedule against
-                # the wall clock at `pace` timestamp-units per second.
-                sched = paced_producer_schedule(
-                    streams, lambda s: self.plan.owner_of(s.itag).id, end_ts
+            stop = FRAME_LEN.pack(0)
+            try:
+                result.events_in += pump_streams(
+                    streams,
+                    lambda s: self.plan.owner_of(s.itag).id,
+                    batcher.post,
+                    pace=pace,
+                    flush=batcher.flush,
                 )
-                start = time.monotonic()
-                # Anchor at the first event timestamp: workloads whose
-                # timestamps start at T >> 0 would otherwise stall
-                # T/pace seconds (heartbeating dead time) before the
-                # first event.
-                ts0 = paced_schedule_anchor(sched)
-                for ts, owner, msg in sched:
-                    delay = start + (ts - ts0) / pace - time.monotonic()
-                    if delay > 0:
-                        batcher.flush()
-                        time.sleep(delay)
-                    batcher.post(owner, msg)
-                result.events_in += sum(len(s.events) for s in streams)
-            else:
-                for stream in streams:
-                    owner = self.plan.owner_of(stream.itag).id
-                    for msg in producer_messages(stream, end_ts):
-                        batcher.post(owner, msg)
-                    result.events_in += len(stream.events)
+            except InputError:
+                # A rejected input stream: release the agents' workers
+                # now, not after each one's join timeout.
+                for wid in coord_socks:
+                    sender.send_raw(wid, stop)
+                raise
             batcher.flush()
             ProcessRuntime._await_idle(control, procs, timeout_s)
             result.wall_s = time.perf_counter() - t0
 
-            stop = FRAME_LEN.pack(0)
             for wid in coord_socks:
                 sender.send_raw(wid, stop)
             if drain_thread is not None:

@@ -49,7 +49,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence
 
-from ..core.errors import RuntimeFault
+from ..core.errors import InputError, RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_p_valid
@@ -62,11 +62,8 @@ from .protocol import (
     OutputSink,
     RunStatsMixin,
     WorkerCore,
-    end_timestamp,
     initial_leaf_states,
-    paced_producer_schedule,
-    paced_schedule_anchor,
-    producer_messages,
+    pump_streams,
 )
 from .runtime import InputStream
 from .transport import (
@@ -79,7 +76,7 @@ from .transport import (
     plan_edges,
     resolve_policy,
 )
-from .wire import batch_message_count, coalesce_event_runs
+from .wire import batch_message_count
 
 @dataclass
 class ProcessResult(RunStatsMixin):
@@ -412,38 +409,19 @@ class ProcessRuntime:
             batcher = transport.sender(
                 COORDINATOR, control, self.policy, on_block=pump_guard
             )
-            end_ts = end_timestamp(streams)
-            if pace is not None:
-                # Open-loop pump: replay the merged schedule against
-                # the wall clock at `pace` timestamp-units per second.
-                sched = paced_producer_schedule(
-                    streams, lambda s: self.plan.owner_of(s.itag).id, end_ts
+            try:
+                result.events_in += pump_streams(
+                    streams,
+                    lambda s: self.plan.owner_of(s.itag).id,
+                    batcher.post,
+                    pace=pace,
+                    flush=batcher.flush,
                 )
-                start = time.monotonic()
-                # Anchor at the first event timestamp: workloads whose
-                # timestamps start at T >> 0 would otherwise stall
-                # T/pace seconds (heartbeating dead time) before the
-                # first event.
-                ts0 = paced_schedule_anchor(sched)
-                for ts, owner, msg in sched:
-                    delay = start + (ts - ts0) / pace - time.monotonic()
-                    if delay > 0:
-                        batcher.flush()
-                        time.sleep(delay)
-                    batcher.post(owner, msg)
-                result.events_in += sum(len(s.events) for s in streams)
-            else:
-                for stream in streams:
-                    owner = self.plan.owner_of(stream.itag).id
-                    # Closed-loop pump: coalesce same-route stretches
-                    # into columnar runs so the whole data plane moves
-                    # packed arrays (the paced pump stays per-event —
-                    # it releases messages against the wall clock).
-                    for msg in coalesce_event_runs(
-                        producer_messages(stream, end_ts)
-                    ):
-                        batcher.post(owner, msg)
-                    result.events_in += len(stream.events)
+            except InputError:
+                # A rejected input stream: release the workers now, not
+                # after each one's join timeout.
+                transport.stop_all()
+                raise
             batcher.flush()
             aborted = self._await_idle(control, procs, timeout_s)
             result.wall_s = time.perf_counter() - t0

@@ -29,14 +29,18 @@ owns a private one).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from itertools import islice
+from operator import attrgetter, lt
 from time import monotonic as _mono
 from time import perf_counter as _perf
+from time import sleep as _sleep
 from time import time as _wall
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.errors import RuntimeFault
-from ..core.events import Event, Heartbeat, ImplTag
+from ..core.errors import InputError, RuntimeFault
+from ..core.events import Event, ImplTag, _stable_key
 from ..core.program import DGSProgram
 from ..plans.plan import PlanNode, SyncPlan
 from .checkpoint import Checkpoint, CheckpointPredicate
@@ -50,6 +54,7 @@ from .messages import (
     JoinRequest,
     JoinResponse,
 )
+from .wire import _SHAPE_FN, coalesce_event_runs, uniform_run_shape
 
 PostFn = Callable[[str, Any], None]
 
@@ -521,33 +526,108 @@ def end_timestamp(streams: Sequence[Any]) -> float:
     return last_ts + 1.0
 
 
+def _heartbeat_times(interval: Optional[float], end_ts: float) -> Iterator[float]:
+    """A producer's heartbeat schedule: every ``interval`` (by float
+    accumulation, so the times match the simulator's clock) strictly
+    before ``end_ts``, then the closing heartbeat at ``end_ts``."""
+    if interval:
+        t = interval
+        while t < end_ts:
+            yield t
+            t += interval
+    yield end_ts
+
+
+#: Longest run the producer emits (``coalesce_event_runs``' default):
+#: bounds frame size and mailbox release granularity.
+_MAX_RUN = 512
+
+
+def _check_stream(itag: ImplTag, events: Sequence[Event], ts: Sequence[Any]) -> None:
+    """Enforce the :class:`InputStream` contract the linear merge in
+    :func:`producer_messages` relies on: events strictly increasing in
+    ts, each carrying the stream's own implementation tag.  The scans
+    run at C speed; only a failing stream pays for locating the
+    offender."""
+    if not all(map(lt, ts, islice(ts, 1, None))):
+        k = next(k for k in range(1, len(ts)) if not ts[k - 1] < ts[k])
+        raise InputError(
+            f"input stream {itag!r}: events must be strictly increasing "
+            f"in ts, but ts={ts[k]!r} follows ts={ts[k - 1]!r}"
+        )
+    n = len(events)
+    if (
+        list(map(attrgetter("tag"), events)).count(itag.tag) != n
+        or list(map(attrgetter("stream"), events)).count(itag.stream) != n
+    ):
+        e = next(e for e in events if e.itag != itag)
+        raise InputError(
+            f"input stream {itag!r}: the event at ts={e.ts!r} belongs "
+            f"to {e.itag!r}"
+        )
+
+
 def producer_messages(stream: Any, end_ts: float) -> List[Any]:
     """One input stream's wire traffic, in order-key order.
 
-    Interleaves the stream's events with periodic heartbeats plus the
-    closing heartbeat at ``end_ts`` that lets every mailbox drain; this
-    is the producer behaviour shared by the threaded and process
-    runtimes (the simulated runtime injects the same schedule through
-    the simulator's clock instead).
+    Merges the stream's events with its heartbeat schedule (periodic
+    heartbeats plus the closing one at ``end_ts`` that lets every
+    mailbox drain) in one linear pass.  Each stretch of events between
+    two heartbeats leaves as columnar :class:`EventRun`\\ s of at most
+    512 events; a stretch of one event, or an event the codec cannot
+    pack, stays a plain :class:`EventMsg`.  A heartbeat whose time
+    equals an event's ts is redundant (the event itself advances the
+    itag) and is skipped.  The result is message-for-message the same
+    as :func:`~repro.runtime.wire.coalesce_event_runs` (default
+    ``max_run``) over the per-event traffic, but no per-event message
+    or order key is built and nothing is sorted.
+
+    This is the producer behaviour shared by the threaded, process and
+    cluster runtimes (the simulated runtime injects the same schedule
+    through the simulator's clock instead).  A stream that breaks the
+    :class:`InputStream` contract — not strictly increasing in ts, or
+    an event of another implementation tag — raises
+    :class:`InputError`.
     """
-    items: List[Tuple[tuple, Any]] = [
-        (e.order_key, EventMsg(e)) for e in stream.events
-    ]
-    hb_times: List[float] = []
-    if stream.heartbeat_interval:
-        t = stream.heartbeat_interval
-        while t < end_ts:
-            hb_times.append(t)
-            t += stream.heartbeat_interval
-    hb_times.append(end_ts)
-    event_ts = {e.ts for e in stream.events}
-    for t in hb_times:
-        if t in event_ts:
-            continue
-        hb = Heartbeat(stream.itag.tag, stream.itag.stream, t)
-        items.append((hb.order_key, HeartbeatMsg(stream.itag, hb.order_key)))
-    items.sort(key=lambda kv: kv[0])
-    return [msg for _, msg in items]
+    itag = stream.itag
+    tag, sid = itag
+    events = stream.events
+    ts = tuple([e.ts for e in events])
+    _check_stream(itag, events, ts)
+    payloads = tuple([e.payload for e in events])
+    shape = uniform_run_shape(tag, sid, ts, payloads)
+    if shape == _SHAPE_FN:
+        payloads = None
+    out: List[Any] = []
+    emit = out.append
+
+    def stretch(i: int, j: int) -> None:
+        if shape < 0:
+            # Mixed or exotic shapes: the codec's per-event rules decide.
+            msgs = [EventMsg(e) for e in events[i:j]]
+            out.extend(coalesce_event_runs(msgs, max_run=_MAX_RUN))
+            return
+        for k in range(i, j, _MAX_RUN):
+            m = min(k + _MAX_RUN, j)
+            if m - k == 1:
+                emit(EventMsg(events[k]))
+            else:
+                cols = payloads[k:m] if payloads is not None else None
+                emit(EventRun(tag, sid, shape, ts[k:m], cols))
+
+    suffix = (_stable_key(tag), _stable_key(sid))
+    i, n = 0, len(ts)
+    for hb in _heartbeat_times(stream.heartbeat_interval, end_ts):
+        j = bisect_left(ts, hb, i)
+        if j < n and ts[j] == hb:
+            continue  # the event at hb advances the itag itself
+        if j > i:
+            stretch(i, j)
+            i = j
+        emit(HeartbeatMsg(itag, (hb,) + suffix))
+    if i < n:
+        stretch(i, n)
+    return out
 
 
 def paced_producer_schedule(
@@ -558,17 +638,26 @@ def paced_producer_schedule(
     """Merge every stream's producer traffic into one open-loop
     schedule of ``(ts, owner_id, msg)`` triples.
 
-    The sort is stable on ``(ts, stream_index, seq)``, so per-stream
-    FIFO (a mailbox invariant) is preserved while a single paced pump
-    thread replays the merged schedule against the wall clock
+    Runs are expanded back into per-event :class:`EventMsg`\\ s: the
+    paced pump releases each event against the wall clock.  The sort
+    is stable on ``(ts, stream_index, seq)``, so per-stream FIFO (a
+    mailbox invariant) is preserved while a single paced pump thread
+    replays the merged schedule against the wall clock
     (``RunOptions.pace`` timestamp-units per second).
     """
     sched: List[Tuple[float, int, int, str, Any]] = []
     for idx, stream in enumerate(streams):
         owner = owner_of(stream)
-        for seq, msg in enumerate(producer_messages(stream, end_ts)):
-            ts = msg.event.ts if isinstance(msg, EventMsg) else msg.key[0]
+        seq = 0
+        for msg in producer_messages(stream, end_ts):
+            if type(msg) is EventRun:
+                for e in msg.events():
+                    sched.append((e.ts, idx, seq, owner, EventMsg(e)))
+                    seq += 1
+                continue
+            ts = msg.event.ts if type(msg) is EventMsg else msg.key[0]
             sched.append((ts, idx, seq, owner, msg))
+            seq += 1
     sched.sort(key=lambda t: (t[0], t[1], t[2]))
     return [(ts, owner, msg) for ts, _i, _s, owner, msg in sched]
 
@@ -584,3 +673,44 @@ def paced_schedule_anchor(sched: Sequence[Tuple[float, str, Any]]) -> float:
         if isinstance(msg, EventMsg):
             return ts
     return sched[0][0] if sched else 0.0
+
+
+def pump_streams(
+    streams: Sequence[Any],
+    owner_of: Callable[[Any], str],
+    post: PostFn,
+    *,
+    pace: Optional[float] = None,
+    flush: Optional[Callable[[], None]] = None,
+) -> int:
+    """The coordinator's producer pump, shared by the threaded, process
+    and cluster runtimes: feed every stream's traffic to the worker
+    that owns its itag and return the number of events sent.
+
+    Closed loop (``pace=None``), each stream's :func:`producer_messages`
+    go out back to back, runs included.  Open loop, the merged
+    :func:`paced_producer_schedule` is replayed against the wall clock
+    at ``pace`` timestamp-units per second, anchored at the first event
+    (:func:`paced_schedule_anchor`); ``flush`` pushes out a batching
+    sender's buffered messages before each sleep.  A stream that
+    breaks the :class:`InputStream` contract raises :class:`InputError`
+    before any of its own messages is posted.
+    """
+    end_ts = end_timestamp(streams)
+    if pace is None:
+        for stream in streams:
+            owner = owner_of(stream)
+            for msg in producer_messages(stream, end_ts):
+                post(owner, msg)
+    else:
+        sched = paced_producer_schedule(streams, owner_of, end_ts)
+        start = _mono()
+        ts0 = paced_schedule_anchor(sched)
+        for ts, owner, msg in sched:
+            delay = start + (ts - ts0) / pace - _mono()
+            if delay > 0:
+                if flush is not None:
+                    flush()
+                _sleep(delay)
+            post(owner, msg)
+    return sum(len(s.events) for s in streams)

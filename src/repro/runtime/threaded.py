@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.errors import RuntimeFault
+from ..core.errors import InputError, RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_p_valid
@@ -39,11 +39,8 @@ from .protocol import (
     OutputSink,
     RunStatsMixin,
     WorkerCore,
-    end_timestamp,
     initial_leaf_states,
-    paced_producer_schedule,
-    paced_schedule_anchor,
-    producer_messages,
+    pump_streams,
 )
 from .runtime import InputStream
 
@@ -260,35 +257,20 @@ class ThreadedRuntime:
         for w in workers.values():
             w.start()
 
-        # Producers: enqueue events and heartbeats in timestamp order
-        # per stream (one virtual producer thread each is unnecessary —
-        # per-itag FIFO into the owner's queue is what matters).
+        # Producers: enqueue runs and heartbeats in timestamp order per
+        # stream (one virtual producer thread each is unnecessary —
+        # per-itag FIFO into the owner's queue is what matters).  A run
+        # is one post and one done(), like any other message.
         t0 = time.perf_counter()
-        end_ts = end_timestamp(streams)
-        if pace is not None:
-            # Open-loop pump: replay the merged schedule against the
-            # wall clock at `pace` timestamp-units per second.
-            sched = paced_producer_schedule(
-                streams, lambda s: self.plan.owner_of(s.itag).id, end_ts
+        try:
+            result.events_in += pump_streams(
+                streams, lambda s: self.plan.owner_of(s.itag).id, router.post, pace=pace
             )
-            start = time.monotonic()
-            # Anchor at the first event timestamp: workloads whose
-            # timestamps start at T >> 0 would otherwise stall T/pace
-            # seconds (heartbeating dead time) before the first event.
-            ts0 = paced_schedule_anchor(sched)
-            for ts, owner, msg in sched:
-                due = start + (ts - ts0) / pace
-                delay = due - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                router.post(owner, msg)
-            result.events_in += sum(len(s.events) for s in streams)
-        else:
-            for stream in streams:
-                owner = self.plan.owner_of(stream.itag).id
-                for msg in producer_messages(stream, end_ts):
-                    router.post(owner, msg)
-                result.events_in += len(stream.events)
+        except InputError:
+            # A rejected input stream: stop the worker threads rather
+            # than leave them blocked on their inboxes.
+            router.stop_all()
+            raise
 
         deadline = time.monotonic() + timeout_s
         while True:

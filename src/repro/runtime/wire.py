@@ -698,6 +698,33 @@ def _run_vals_packable(shape: int, ts: Any, payload: Any) -> bool:
     return True
 
 
+def uniform_run_shape(tag: Any, stream: Any, ts: Sequence[Any], payloads: Sequence[Any]) -> int:
+    """The run shape every event of one route shares, or -1.
+
+    ``ts`` and ``payloads`` are the columns of a stream whose events
+    all carry the route ``(tag, stream)``, with ``ts`` increasing.  A
+    shape is returned only when :func:`coalesce_event_runs` would put
+    *every* event of the columns into runs of that shape, so a
+    producer may slice the columns into runs without a per-event test.
+    Otherwise (no fast-path route encoding, mixed or ineligible scalar
+    types, ints beyond i64) the answer is -1 and per-event coalescing
+    decides.  The type scans, and ``min``/``max`` for int columns, run
+    at C speed."""
+    if not ts or _route_bytes(tag, stream) is None:
+        return -1
+    ts_types = set(map(type, ts))
+    payload_types = set(map(type, payloads))
+    if len(ts_types) != 1 or len(payload_types) != 1:
+        return -1
+    shape = _event_shape(ts[0], payloads[0])
+    if shape in (_SHAPE_FI, _SHAPE_II) and not (
+        _run_vals_packable(shape, ts[0], min(payloads))
+        and _run_vals_packable(shape, ts[-1], max(payloads))
+    ):
+        return -1
+    return shape
+
+
 def coalesce_event_runs(msgs: Sequence[Any], *, max_run: int = 512) -> List[Any]:
     """Merge consecutive same-route, same-shape :class:`EventMsg`
     items into columnar :class:`EventRun`\\ s.

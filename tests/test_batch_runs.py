@@ -1,5 +1,7 @@
 """The columnar batch plane: :class:`EventRun`, producer-side
-coalescing (:func:`coalesce_event_runs`), the mailbox's run-aware
+coalescing (:func:`coalesce_event_runs` and the columnar
+:func:`producer_messages`, golden-tested against a per-event
+reference producer), the mailbox's run-aware
 release rules (whole-run, prefix split, cross-tag straddle split), and
 ``update_batch`` equivalence against the per-event fold.
 
@@ -17,7 +19,9 @@ from repro.apps import value_barrier as vb
 from repro.core import DependenceRelation, Event, ImplTag
 from repro.core.errors import InputError
 from repro.runtime import Mailbox
+from repro.runtime import InputStream
 from repro.runtime.messages import EventMsg, EventRun, HeartbeatMsg
+from repro.runtime.protocol import end_timestamp, paced_producer_schedule, producer_messages
 from repro.runtime.wire import (
     batch_message_count,
     coalesce_event_runs,
@@ -270,3 +274,144 @@ class TestUpdateBatchEquivalence:
         s_fold, outs = fold_per_event(kc._update, {0: 9}, run)
         assert kc.state_eq(s_batch, s_fold)
         assert [o for _, o in indexed] == outs == [(0, 9), (0, 0)]
+
+
+def reference_producer(stream, end_ts):
+    """The per-event producer the columnar one replaced: one
+    :class:`EventMsg` per event plus heartbeats, merged by a sort on
+    order keys.  Kept here as the golden reference."""
+    items = [(e.order_key, EventMsg(e)) for e in stream.events]
+    hb_times = []
+    if stream.heartbeat_interval:
+        t = stream.heartbeat_interval
+        while t < end_ts:
+            hb_times.append(t)
+            t += stream.heartbeat_interval
+    hb_times.append(end_ts)
+    event_ts = {e.ts for e in stream.events}
+    for t in hb_times:
+        if t in event_ts:
+            continue
+        key = Event(stream.itag.tag, stream.itag.stream, t).order_key
+        items.append((key, HeartbeatMsg(stream.itag, key)))
+    items.sort(key=lambda kv: kv[0])
+    return [msg for _, msg in items]
+
+
+def wire_view(msgs):
+    """Type-exact, field-by-field view of a message list (EventRun has
+    no __eq__, and 3 == 3.0 would hide a changed scalar type)."""
+    out = []
+    for m in msgs:
+        if type(m) is EventRun:
+            out.append(("run", repr((m.tag, m.stream, m.shape, m.ts, m.payloads))))
+        else:
+            out.append((type(m).__name__, repr(m)))
+    return out
+
+
+def stream_of(events, itag=ImplTag("value", "v0"), hb=1.0):
+    return InputStream(itag, tuple(events), heartbeat_interval=hb)
+
+
+def evs(n, tag="value", stream="v0", ts=lambda i: 0.1 * (i + 1), payload=lambda i: i):
+    return [Event(tag, stream, ts(i), payload(i)) for i in range(n)]
+
+
+PRODUCER_CASES = {
+    "float-ts-int-payload": stream_of(evs(300)),
+    "int-ts-int-payload": stream_of(evs(300, ts=lambda i: 3 * i + 1), hb=5),
+    "none-payload": stream_of(evs(300, payload=lambda i: None)),
+    "float-payload": stream_of(evs(300, payload=lambda i: i / 4)),
+    "str-payload": stream_of(evs(50, payload=lambda i: f"s{i}")),
+    "i64-overflow": stream_of(evs(50, payload=lambda i: 2**70 + i)),
+    "some-overflow": stream_of(evs(80, payload=lambda i: 2**70 if i % 13 == 0 else i)),
+    "mixed-shapes": stream_of(
+        evs(120, payload=lambda i: (None, i, i / 2, "x", True)[i % 5 if i % 20 < 5 else 1])
+    ),
+    "tuple-stream-id": stream_of(evs(80, stream=("v", 0)), itag=ImplTag("value", ("v", 0))),
+    "int-stream-id": stream_of(evs(80, stream=7), itag=ImplTag("value", 7)),
+    "no-periodic-heartbeats": stream_of(evs(300), hb=None),
+    "heartbeat-on-event-ts": stream_of(evs(40, ts=lambda i: 0.5 * (i + 1)), hb=1.0),
+    "long-stretches": stream_of(evs(1300, ts=lambda i: i / 1000), hb=0.6),
+    "stretch-remainder-of-one": stream_of(evs(1025), hb=None),
+    "sparse-events": stream_of(evs(5, ts=lambda i: 7.25 * i + 2), hb=0.5),
+    "empty": stream_of([]),
+    "empty-no-heartbeats": stream_of([], hb=None),
+}
+
+
+class TestProducerMessages:
+    """The columnar producer against the per-event reference plus
+    :func:`coalesce_event_runs`: message-for-message identical."""
+
+    @pytest.mark.parametrize("case", sorted(PRODUCER_CASES))
+    @pytest.mark.parametrize("end_ts", ["after", "inside"])
+    def test_matches_coalesced_reference(self, case, end_ts):
+        stream = PRODUCER_CASES[case]
+        if end_ts == "after":
+            end = end_timestamp([stream])
+        else:  # a caller-chosen end inside the stream's span
+            end = stream.events[len(stream.events) // 2].ts if stream.events else 0.5
+        got = producer_messages(stream, end)
+        want = coalesce_event_runs(reference_producer(stream, end), max_run=512)
+        assert wire_view(got) == wire_view(want)
+
+    def test_cases_exercise_every_branch(self):
+        """The golden cases above really cover runs, plain events,
+        capped runs, a one-event remainder and skipped heartbeats."""
+        long = producer_messages(PRODUCER_CASES["long-stretches"], 10.0)
+        assert max(len(m) for m in long if type(m) is EventRun) == 512
+        tail = producer_messages(PRODUCER_CASES["stretch-remainder-of-one"], 200.0)
+        assert [type(m).__name__ for m in tail] == [
+            "EventRun", "EventRun", "EventMsg", "HeartbeatMsg"
+        ]
+        on_ts = PRODUCER_CASES["heartbeat-on-event-ts"]
+        hbs = [m.key[0] for m in producer_messages(on_ts, 21.0) if type(m) is HeartbeatMsg]
+        assert hbs == [21.0]  # every periodic heartbeat lands on an event
+        assert all(
+            type(m) is EventMsg
+            for m in producer_messages(PRODUCER_CASES["str-payload"], 99.0)
+            if type(m) is not HeartbeatMsg
+        )
+
+    @pytest.mark.parametrize("pace_case", ["vb", "exotic"])
+    def test_paced_schedule_unchanged(self, pace_case):
+        """The open-loop schedule stays per-event and identical, scalar
+        types included (repr tells 3 from 3.0)."""
+        if pace_case == "vb":
+            streams = vb.make_streams(
+                vb.make_workload(n_value_streams=2, values_per_barrier=30, n_barriers=3)
+            )
+        else:
+            streams = [PRODUCER_CASES["mixed-shapes"], PRODUCER_CASES["int-stream-id"]]
+        owner = lambda s: repr(s.itag)  # noqa: E731
+        end = end_timestamp(streams)
+        want = []
+        for idx, stream in enumerate(streams):
+            for seq, msg in enumerate(reference_producer(stream, end)):
+                ts = msg.event.ts if type(msg) is EventMsg else msg.key[0]
+                want.append((ts, idx, seq, owner(stream), msg))
+        want.sort(key=lambda t: (t[0], t[1], t[2]))
+        got = paced_producer_schedule(streams, owner, end)
+        assert repr(got) == repr([(ts, own, msg) for ts, _i, _s, own, msg in want])
+        assert all(type(msg) is not EventRun for _ts, _own, msg in got)
+
+    def test_unsorted_stream_is_rejected(self):
+        events = evs(10)
+        events[4], events[5] = events[5], events[4]
+        with pytest.raises(InputError, match=r"ImplTag\('value'@'v0'\).*ts=0\.5"):
+            producer_messages(stream_of(events), 99.0)
+
+    def test_duplicate_ts_is_rejected(self):
+        events = evs(4) + [Event("value", "v0", 0.4, 9)]
+        with pytest.raises(InputError, match="strictly increasing"):
+            producer_messages(stream_of(events), 99.0)
+
+    @pytest.mark.parametrize(
+        "stray", [Event("other", "v0", 0.35, 1), Event("value", "v1", 0.35, 1)]
+    )
+    def test_foreign_itag_event_is_rejected(self, stray):
+        events = sorted(evs(6) + [stray], key=lambda e: e.ts)
+        with pytest.raises(InputError, match=r"ts=0\.35 belongs"):
+            producer_messages(stream_of(events), 99.0)
