@@ -1,21 +1,25 @@
 """The Flumina-style DGS runtime (paper §3.4) plus checkpointing, a
 sequential reference oracle, and the runtime-backend registry.
 
-Three execution substrates run the same synchronization-plan protocol:
+Every substrate runs the one synchronization-plan state machine,
+:class:`~repro.runtime.protocol.WorkerCore`; three backends select
+among them:
 
 * ``sim`` — the simulated cluster (:class:`FluminaRuntime`), used for
   the paper's figures: models network cost, latency, utilization;
 * ``threaded`` — one OS thread per worker (:class:`ThreadedRuntime`):
   real concurrency, GIL-bound throughput;
 * ``process`` — one OS process per worker with batched channels
-  (:class:`ProcessRuntime`): multi-core parallel speedup.
+  (:class:`ProcessRuntime`): multi-core parallel speedup; with
+  ``nodes=`` one agent process per node over TCP
+  (:class:`ClusterLauncher`).
 
 Benchmarks, examples, and tests select them uniformly through
 :func:`get_backend` / :func:`run_on_backend`, which normalize each
 substrate's native result into a :class:`BackendRun`.  Execution
 options — checkpointing, fault injection, and elastic reconfiguration
 (``reconfig_schedule=``, see :mod:`repro.runtime.reconfigure`) —
-travel as one :class:`RunOptions` through all three substrates.
+travel as one :class:`RunOptions` through every backend.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ from .runtime import (
     run_sequential_reference,
 )
 from .threaded import ThreadedResult, ThreadedRuntime
-from .worker import RunCollector, WorkerActor, default_state_size
+from .worker import WorkerActor, default_state_size
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +155,21 @@ class BackendRun(RunStatsMixin):
 class RuntimeBackend:
     """A named execution substrate for synchronization plans.
 
-    Every backend takes the same :class:`RunOptions` (or the loose
-    keywords it collects — ``fault_plan=``, ``checkpoint_predicate=``,
-    ``reconfig_schedule=``, ``timeout_s=``, ``transport=``,
-    ``batch_size=``, ``flush_ms=``):
+    Every backend takes one :class:`RunOptions` as ``options=``; loose
+    keyword arguments raise ``TypeError``.  Among its fields:
 
-    * ``checkpoint_predicate=`` arms Appendix-D.2 snapshots at root
+    * ``checkpoint_predicate`` arms Appendix-D.2 snapshots at root
       joins;
-    * ``fault_plan=`` injects crashes/drops and drives the
+    * ``fault_plan`` injects crashes/drops and drives the
       restore-and-replay recovery loop
       (:mod:`repro.runtime.recovery`);
-    * ``reconfig_schedule=`` arms elastic re-planning at consistent
+    * ``reconfig_schedule`` arms elastic re-planning at consistent
       snapshots (:mod:`repro.runtime.reconfigure`) — composable with
       the other two: crashes recover into the then-current plan shape.
+
+    A substrate implements one hook, :meth:`_attempt` (the wall-clock
+    ones just :meth:`_make_runtime`): a plain run is a single attempt,
+    and the recovery and reconfiguration drivers sequence attempts.
     """
 
     name: str = "?"
@@ -192,7 +198,17 @@ class RuntimeBackend:
             return self._run_elastic(program, plan, streams, opts)
         if opts.fault_plan is not None:
             return self._run_recovering(program, plan, streams, opts)
-        return self._run_plain(program, plan, streams, opts)
+        out = self._attempt(program, plan, streams, INIT_STATE, opts, None)
+        return BackendRun(
+            backend=self.name,
+            outputs=out.outputs,
+            events_in=out.events_in,
+            events_processed=out.events_processed,
+            joins=out.joins,
+            wall_s=out.wall_s,
+            raw=out.raw,
+            metrics=out.metrics,
+        )
 
     def attempt(
         self,
@@ -284,13 +300,46 @@ class RuntimeBackend:
         )
 
     # -- substrate hooks -------------------------------------------------
-    def _run_plain(self, program, plan, streams, opts: RunOptions) -> BackendRun:
+    def _make_runtime(self, program, plan, opts: RunOptions) -> Any:
         raise NotImplementedError
 
     def _attempt(
         self, program, plan, streams, initial_state, opts: RunOptions, reconfig_view
     ) -> AttemptOutcome:
-        raise NotImplementedError
+        """Every execution's one substrate hook: a plain run, each
+        recovering or elastic attempt and :meth:`attempt` all come
+        through here.  The default drives a wall-clock runtime from
+        :meth:`_make_runtime`."""
+        res = self._make_runtime(program, plan, opts).run(
+            streams,
+            timeout_s=opts.with_timeout_default(self.default_timeout_s),
+            initial_state=initial_state,
+            checkpoint_predicate=opts.checkpoint_predicate,
+            faults=opts.fault_plan,
+            record_keys=opts.record_keys,
+            reconfig=reconfig_view,
+            metrics=opts.metrics_config(),
+            pace=opts.pace,
+        )
+        return _outcome(res, res.outputs, res.wall_s)
+
+
+def _outcome(res: Any, outputs: List[Any], wall_s: float) -> AttemptOutcome:
+    """Normalize a substrate's native result into an AttemptOutcome
+    that keeps it as ``raw``."""
+    return AttemptOutcome(
+        outputs=outputs,
+        keyed_outputs=res.keyed_outputs,
+        checkpoints=res.checkpoints,
+        crashes=res.crashes,
+        events_in=res.events_in,
+        events_processed=res.events_processed,
+        joins=res.joins,
+        wall_s=wall_s,
+        quiesce=res.quiesce,
+        metrics=res.metrics,
+        raw=res,
+    )
 
 
 class SimBackend(RuntimeBackend):
@@ -298,52 +347,21 @@ class SimBackend(RuntimeBackend):
 
     name = "sim"
 
-    def _run_plain(self, program, plan, streams, opts):
-        # Wall timeouts have no simulated analogue: opts.timeout_s is
-        # simply not consulted here.
-        t0 = time.perf_counter()
-        res = FluminaRuntime(
-            program, plan,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            record_keys=opts.record_keys,
-            metrics=opts.metrics_config(),
-            **opts.extra,
-        ).run(streams)
-        return BackendRun(
-            backend=self.name,
-            outputs=res.output_values(),
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=time.perf_counter() - t0,
-            raw=res,
-            metrics=res.metrics,
-        )
-
     def _attempt(self, program, plan, streams, initial_state, opts, reconfig_view):
+        # Wall timeouts and pacing have no simulated analogue:
+        # opts.timeout_s and opts.pace are simply not consulted here.
         t0 = time.perf_counter()
         res = FluminaRuntime(
             program,
             plan,
             checkpoint_predicate=opts.checkpoint_predicate,
             faults=opts.fault_plan,
-            record_keys=True,
+            record_keys=opts.record_keys,
             reconfig=reconfig_view,
             metrics=opts.metrics_config(),
             **opts.extra,
         ).run(streams, initial_state=initial_state)
-        return AttemptOutcome(
-            outputs=res.output_values(),
-            keyed_outputs=res.keyed_outputs,
-            checkpoints=res.checkpoints,
-            crashes=res.crashes,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=time.perf_counter() - t0,
-            quiesce=res.quiesce,
-            metrics=res.metrics,
-        )
+        return _outcome(res, res.output_values(), time.perf_counter() - t0)
 
 
 class ThreadedBackend(RuntimeBackend):
@@ -352,50 +370,8 @@ class ThreadedBackend(RuntimeBackend):
     name = "threaded"
     default_timeout_s = 60.0
 
-    def _run_plain(self, program, plan, streams, opts):
-        res = ThreadedRuntime(program, plan, **opts.extra).run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            checkpoint_predicate=opts.checkpoint_predicate,
-            record_keys=opts.record_keys,
-            metrics=opts.metrics_config(),
-            pace=opts.pace,
-        )
-        return BackendRun(
-            backend=self.name,
-            outputs=res.outputs,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            raw=res,
-            metrics=res.metrics,
-        )
-
-    def _attempt(self, program, plan, streams, initial_state, opts, reconfig_view):
-        res = ThreadedRuntime(program, plan, **opts.extra).run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            initial_state=initial_state,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            faults=opts.fault_plan,
-            record_keys=True,
-            reconfig=reconfig_view,
-            metrics=opts.metrics_config(),
-            pace=opts.pace,
-        )
-        return AttemptOutcome(
-            outputs=res.outputs,
-            keyed_outputs=res.keyed_outputs,
-            checkpoints=res.checkpoints,
-            crashes=res.crashes,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            quiesce=res.quiesce,
-            metrics=res.metrics,
-        )
+    def _make_runtime(self, program, plan, opts):
+        return ThreadedRuntime(program, plan, **opts.extra)
 
 
 class ProcessBackend(RuntimeBackend):
@@ -406,8 +382,7 @@ class ProcessBackend(RuntimeBackend):
     name = "process"
     default_timeout_s = 120.0
 
-    @staticmethod
-    def _make_runtime(program, plan, opts: RunOptions):
+    def _make_runtime(self, program, plan, opts: RunOptions):
         if opts.nodes is None:
             if opts.placement is not None:
                 raise RuntimeFault(
@@ -439,53 +414,6 @@ class ProcessBackend(RuntimeBackend):
             batch_size=opts.batch_size,
             flush_ms=opts.flush_ms,
             metrics_port=opts.metrics_port,
-        )
-
-    def _run_plain(self, program, plan, streams, opts):
-        rt = self._make_runtime(program, plan, opts)
-        res = rt.run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            checkpoint_predicate=opts.checkpoint_predicate,
-            record_keys=opts.record_keys,
-            metrics=opts.metrics_config(),
-            pace=opts.pace,
-        )
-        return BackendRun(
-            backend=self.name,
-            outputs=res.outputs,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            raw=res,
-            metrics=res.metrics,
-        )
-
-    def _attempt(self, program, plan, streams, initial_state, opts, reconfig_view):
-        rt = self._make_runtime(program, plan, opts)
-        res = rt.run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            initial_state=initial_state,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            faults=opts.fault_plan,
-            record_keys=True,
-            reconfig=reconfig_view,
-            metrics=opts.metrics_config(),
-            pace=opts.pace,
-        )
-        return AttemptOutcome(
-            outputs=res.outputs,
-            keyed_outputs=res.keyed_outputs,
-            checkpoints=res.checkpoints,
-            crashes=res.crashes,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            quiesce=res.quiesce,
-            metrics=res.metrics,
         )
 
     def _shared_exporter(self, opts: RunOptions):
@@ -607,7 +535,6 @@ __all__ = [
     "RecoveryStep",
     "RecoveryUnsoundError",
     "RootReconfigView",
-    "RunCollector",
     "RunMetrics",
     "RunOptions",
     "RunResult",

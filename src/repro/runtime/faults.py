@@ -3,9 +3,9 @@
 A :class:`FaultPlan` is a *seeded, declarative schedule* of faults that
 every execution substrate — the simulated cluster, the threaded
 runtime, and the process runtime — honors identically, because the
-triggers live inside the substrate-independent worker state machine
-(:class:`~repro.runtime.protocol.WorkerCore` and the simulated
-:class:`~repro.runtime.worker.WorkerActor`):
+triggers live inside the substrate-independent worker state machine,
+:class:`~repro.runtime.protocol.WorkerCore`, that every substrate
+runs:
 
 * :class:`CrashFault` — fail-stop of one worker, keyed by that
   worker's processed-event count or by event timestamp.  The crash

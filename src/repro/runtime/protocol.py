@@ -6,15 +6,15 @@ whether workers are simulated actors, OS threads, or OS processes.
 This module holds the protocol once so every concrete runtime is just
 transport plumbing around :class:`WorkerCore`:
 
+* :mod:`repro.runtime.worker` — one simulated actor per worker
+  (:class:`~repro.runtime.worker.WorkerActor`), which adds the cluster
+  simulator's cost model (service times, state-transfer sizes) and
+  simulated-time output stamps;
 * :mod:`repro.runtime.threaded` — one ``threading.Thread`` per worker,
   in-memory FIFO queues;
-* :mod:`repro.runtime.process` — one OS process per worker, batched
-  ``multiprocessing`` queues (escaping the GIL for real parallelism).
-
-(The simulated runtime's :class:`~repro.runtime.worker.WorkerActor`
-predates this module and additionally models network cost, state sizes
-and checkpoints; it intentionally keeps its own copy of the state
-machine so simulation instrumentation does not leak in here.)
+* :mod:`repro.runtime.process` and :mod:`repro.runtime.cluster` — one
+  OS process per worker over a batched data plane (escaping the GIL
+  for real parallelism).
 
 A ``WorkerCore`` is driven by ``handle(msg)`` calls and talks to the
 outside world through two injected callables:
@@ -30,14 +30,14 @@ owns a private one).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from itertools import islice
 from operator import attrgetter, lt
 from time import monotonic as _mono
 from time import perf_counter as _perf
 from time import sleep as _sleep
 from time import time as _wall
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import InputError, RuntimeFault
 from ..core.events import Event, ImplTag, _stable_key
@@ -122,7 +122,9 @@ class OutputSink:
     def checkpoint(self, ckpt: Checkpoint) -> None:
         self.checkpoints.append(ckpt)
 
-    def count_event(self) -> None:
+    def count_event(self, event: Event) -> None:
+        """One event applied by ``update`` (at a leaf, or at the join
+        its synchronizing event triggered)."""
         self.events_processed += 1
 
     def count_events(self, n: int) -> None:
@@ -136,12 +138,13 @@ class OutputSink:
 class WorkerCore:
     """One plan worker's protocol state machine, substrate-free.
 
-    Mirrors the simulated :class:`WorkerActor` protocol: events and
-    join requests pass through the selective-reordering mailbox; a
-    synchronizing event at an internal node triggers a join request to
-    both children, the joined state is updated and forked back down;
-    leaves answer join requests by surrendering their state and block
-    until the fork returns it.
+    Events and join requests pass through the selective-reordering
+    mailbox; a synchronizing event at an internal node triggers a join
+    request to both children, the joined state is updated and forked
+    back down; leaves answer join requests by surrendering their state
+    and block until the fork returns it.  A message the protocol cannot
+    have produced (a join response nobody asked for, a forked state for
+    a worker that gave none up) raises :class:`RuntimeFault`.
     """
 
     def __init__(
@@ -206,7 +209,7 @@ class WorkerCore:
         self.state: Any = None
         self.has_state = self.is_leaf
         self._checkpoints_taken = 0
-        self.pending: List[Buffered] = []
+        self.pending: Deque[Buffered] = deque()
         self.blocked = False
         self._join_seq = 0
         self._current: Optional[Tuple[Tuple[str, int], Any, Dict[str, Any]]] = None
@@ -255,7 +258,7 @@ class WorkerCore:
         if self.metrics is not None:
             self.metrics.note_backlog(len(self.pending))
         while self.pending and not self.blocked:
-            buffered = self.pending.pop(0)
+            buffered = self.pending.popleft()
             item = buffered.item
             if type(item) is EventRun:
                 if self.is_leaf and self.faults is None:
@@ -266,10 +269,10 @@ class WorkerCore:
                     # crash seam, and internal nodes join per event.
                     # Expand in place; the per-event items below repay
                     # the run's inflight count one by one.
-                    self.pending[0:0] = [
+                    self.pending.extendleft(
                         Buffered(buffered.itag, e.order_key, EventMsg(e))
-                        for e in item.events()
-                    ]
+                        for e in reversed(item.events())
+                    )
                 continue
             self._inflight_tags[buffered.itag] -= 1
             if isinstance(item, EventMsg):
@@ -282,7 +285,7 @@ class WorkerCore:
             # May raise WorkerCrash (fail-stop at the event boundary:
             # nothing of this event has been applied yet).
             self.faults.note_event(event.ts)
-        self.sink.count_event()
+        self.sink.count_event(event)
         m = self.metrics
         if m is not None:
             m.events_processed += 1
@@ -370,7 +373,10 @@ class WorkerCore:
             self.flush_hint()
 
     def _on_join_response(self, msg: JoinResponse) -> None:
-        assert self._current is not None and self._current[0] == msg.req_id
+        if self._current is None or self._current[0] != msg.req_id:
+            raise RuntimeFault(
+                f"worker {self.node.id}: unexpected join response {msg.req_id}"
+            )
         req_id, ctx, states = self._current
         states[msg.side] = msg
         if len(states) < 2:
@@ -387,7 +393,7 @@ class WorkerCore:
             m.note_subtree(states["right"].metrics)
         if ctx[0] == "event":
             event: Event = ctx[1]
-            self.sink.count_event()
+            self.sink.count_event(event)
             joined, outs = self.update(joined, event)
             self.sink.emit(outs, key=event.order_key)
             if m is not None:
@@ -449,13 +455,18 @@ class WorkerCore:
                 self.flush_hint()
 
     def _on_fork_state(self, msg: ForkStateMsg) -> None:
+        absorbed = not self.has_state if self.is_leaf else self._absorb_restore is not None
+        if not absorbed:
+            raise RuntimeFault(
+                f"worker {self.node.id}: fork state {msg.req_id} without absorption"
+            )
         if self.is_leaf:
             self.state = msg.state
             self.has_state = True
         else:
             sub = self._absorb_restore
             self._absorb_restore = None
-            self._fork_down(sub, msg.state)  # type: ignore[arg-type]
+            self._fork_down(sub, msg.state)
         self.blocked = False
 
     def _fork_down(self, req_id: Tuple[str, int], state: Any) -> None:

@@ -13,9 +13,8 @@ new plan, and replays the input suffix there.
 
 This module is deliberately a *leaf* of the runtime import graph —
 plain picklable data plus trigger logic, no runtime imports — so the
-substrate-independent :class:`~repro.runtime.protocol.WorkerCore`, the
-simulated :class:`~repro.runtime.worker.WorkerActor`, and both real
-substrates can all use it without cycles (mirroring how
+substrate-independent :class:`~repro.runtime.protocol.WorkerCore` and
+every substrate that runs it can use it without cycles (mirroring how
 :mod:`repro.runtime.faults` sits below :mod:`repro.runtime.recovery`).
 
 Triggers come in two flavors:

@@ -69,6 +69,9 @@ class AttemptOutcome:
     #: producer release), so a replayed event's recorded latency is its
     #: true recovery delay: restart to re-commit.
     metrics: Any = None
+    #: The substrate's native result (RunResult, ThreadedResult,
+    #: ProcessResult, ...) for backend-specific measurements.
+    raw: Any = None
 
 
 #: (streams, initial_state) -> AttemptOutcome; the fault plan and the

@@ -34,9 +34,15 @@ from .checkpoint import Checkpoint
 from .faults import CrashRecord, FaultPlan
 from .messages import EventMsg, HeartbeatMsg
 from .metrics import LatencyHistogram, MetricsConfig, MetricsSnapshot, RunMetrics
-from .protocol import INIT_STATE
+from .protocol import (
+    INIT_STATE,
+    _check_stream,
+    _heartbeat_times,
+    end_timestamp,
+    initial_leaf_states,
+)
 from .quiesce import QuiesceRecord
-from .worker import RunCollector, StateSizeFn, WorkerActor, default_state_size
+from .worker import SimSink, StateSizeFn, WorkerActor, default_state_size
 
 
 @dataclass(frozen=True)
@@ -168,12 +174,12 @@ class FluminaRuntime:
 
     def _build(
         self, initial_state: Any = INIT_STATE
-    ) -> Tuple[ActorSystem, RunCollector, Dict[str, WorkerActor]]:
+    ) -> Tuple[ActorSystem, SimSink, Dict[str, WorkerActor]]:
         sim = Simulator()
         system = ActorSystem(sim, self.topology)
-        collector = RunCollector(
-            track_event_latency=self.track_event_latency,
+        sink = SimSink(
             record_keys=self.record_keys,
+            track_event_latency=self.track_event_latency,
         )
         workers: Dict[str, WorkerActor] = {}
         for node in self.plan.workers():
@@ -183,7 +189,7 @@ class FluminaRuntime:
                 node=node,
                 plan=self.plan,
                 program=self.program,
-                collector=collector,
+                sink=sink,
                 actor_name_of=self.actor_name_of,
                 state_size=self.state_size,
                 checkpoint_predicate=self.checkpoint_predicate,
@@ -196,75 +202,44 @@ class FluminaRuntime:
             )
             system.add(actor)
             workers[node.id] = actor
-        self._distribute_initial_state(workers, initial_state)
-        return system, collector, workers
-
-    def _distribute_initial_state(
-        self, workers: Dict[str, WorkerActor], root_state: Any = INIT_STATE
-    ) -> None:
-        """Fork the root state (``init()``, or a restored checkpoint)
-        down the tree so every leaf holds its share (consistent with
-        the sequential state by C2)."""
-
-        def distribute(node_id: str, state: Any) -> None:
-            worker = workers[node_id]
-            if worker.is_leaf:
-                worker.state = state
-                worker.has_state = True
-                return
-            left, right = worker.node.children
-            s_left, s_right = worker.fork(state, worker.pred_left, worker.pred_right)
-            distribute(left.id, s_left)
-            distribute(right.id, s_right)
-
-        distribute(
-            self.plan.root.id,
-            self.program.init() if root_state is INIT_STATE else root_state,
-        )
+        # Fork the root state (init(), or a restored checkpoint) down
+        # the tree so every leaf holds its share (consistent by C2).
+        leaf_states = initial_leaf_states(self.plan, self.program, initial_state)
+        for leaf_id, state in leaf_states.items():
+            workers[leaf_id].core.state = state
+        return system, sink, workers
 
     # -- input feeding ------------------------------------------------------------
     def _feed(self, system: ActorSystem, streams: Sequence[InputStream]) -> Tuple[int, float, float]:
-        owners = {s.itag: self.plan.owner_of(s.itag) for s in streams}
+        """Inject every stream's events at their timestamps, then its
+        heartbeats: the periodic ones plus a closing one so that every
+        buffer drains at the end of the run.  A stream that breaks the
+        :class:`InputStream` contract raises :class:`InputError`."""
+        end_ts = end_timestamp(streams)
         events_in = 0
         first_ts = math.inf
         last_ts = 0.0
         for stream in streams:
-            for e in stream.events:
-                if e.itag != stream.itag:
-                    raise RuntimeFault(
-                        f"event {e!r} does not belong to stream {stream.itag!r}"
-                    )
-                first_ts = min(first_ts, e.ts)
-                last_ts = max(last_ts, e.ts)
-        end_ts = last_ts + 1.0
-        for stream in streams:
-            owner = owners[stream.itag]
+            itag = stream.itag
+            ts = tuple([e.ts for e in stream.events])
+            _check_stream(itag, stream.events, ts)
+            if ts:
+                first_ts = min(first_ts, ts[0])
+                last_ts = max(last_ts, ts[-1])
+            owner = self.plan.owner_of(itag)
             dst = self.actor_name_of(owner.id)
             src_host = stream.source_host or owner.host
-            prev_ts = 0.0
             for e in stream.events:
-                if e.ts <= prev_ts and events_in:
-                    pass  # monotonicity enforced by the mailbox on arrival
                 system.inject(dst, EventMsg(e), at=e.ts, from_host=src_host)
-                prev_ts = e.ts
-                events_in += 1
-            # Periodic heartbeats between events, plus a closing one so
-            # that every buffer drains at the end of the run.
-            hb_times: List[float] = []
-            if stream.heartbeat_interval:
-                t = stream.heartbeat_interval
-                while t < end_ts:
-                    hb_times.append(t)
-                    t += stream.heartbeat_interval
-            hb_times.append(end_ts)
-            event_ts = {e.ts for e in stream.events}
-            for t in hb_times:
+            events_in += len(ts)
+            event_ts = set(ts)
+            for t in _heartbeat_times(stream.heartbeat_interval, end_ts):
                 if t in event_ts:
                     continue
-                hb = Heartbeat(stream.itag.tag, stream.itag.stream, t)
+                hb = Heartbeat(itag.tag, itag.stream, t)
                 system.inject(
                     dst,
-                    HeartbeatMsg(stream.itag, hb.order_key),
+                    HeartbeatMsg(itag, hb.order_key),
                     at=t,
                     from_host=src_host,
                 )
@@ -280,24 +255,22 @@ class FluminaRuntime:
         max_sim_events: int = 50_000_000,
         initial_state: Any = INIT_STATE,
     ) -> RunResult:
-        system, collector, workers = self._build(initial_state)
+        system, sink, workers = self._build(initial_state)
         events_in, first_ts, last_ts = self._feed(system, streams)
         system.sim.run(max_events=max_sim_events)
-        duration_clock = max(system.sim.now, system.last_completion)
-        if not collector.crashes and collector.quiesce is None:
+        duration = max(system.sim.now, system.last_completion)
+        if not sink.crashes and sink.quiesce is None:
             # A crashed or quiesced attempt legitimately strands
             # buffered items (the stopped worker's, and its blocked
             # ancestors'); the recovery/reconfiguration drivers replay
             # them, so only fail-free runs must prove they drained.
             for worker in workers.values():
-                if worker.mailbox.buffered_count() or worker.pending:
+                left = worker.core.unprocessed()
+                if left:
                     raise RuntimeFault(
-                        f"run ended with unprocessed items at {worker.name} "
-                        f"(buffered={worker.mailbox.buffered_count()}, "
-                        f"pending={len(worker.pending)}); "
-                        "check heartbeats / dependence relation"
+                        f"run ended with {left} unprocessed items at "
+                        f"{worker.name}; check heartbeats / dependence relation"
                     )
-        duration = duration_clock
         util = {
             name: host.utilization(duration) if duration > 0 else 0.0
             for name, host in self.topology.hosts.items()
@@ -305,15 +278,15 @@ class FluminaRuntime:
         run_metrics: Optional[RunMetrics] = None
         if self.metrics is not None:
             # One pseudo-worker for the whole simulated cluster:
-            # counters from the collector, the end-to-end histogram
+            # counters from the sink, the end-to-end histogram
             # fed from per-output latencies (simulated ms -> seconds).
             buckets = self.metrics.latency_buckets
             snap = MetricsSnapshot(
                 worker="sim",
-                events_processed=collector.events_processed,
-                joins_completed=collector.joins,
+                events_processed=sink.events_processed,
+                joins_completed=sink.joins,
             )
-            lats = [lat for _, _, lat in collector.outputs]
+            lats = [lat for _, _, lat in sink.outputs]
             if lats:
                 h = LatencyHistogram(buckets)
                 for lat in lats:
@@ -322,20 +295,20 @@ class FluminaRuntime:
             run_metrics = RunMetrics(latency_buckets=buckets)
             run_metrics.absorb(snap)
         return RunResult(
-            outputs=list(collector.outputs),
+            outputs=sink.outputs,
             duration_ms=duration,
             first_input_ms=first_ts,
             last_input_ms=last_ts,
             events_in=events_in,
-            events_processed=collector.events_processed,
-            joins=collector.joins,
+            events_processed=sink.events_processed,
+            joins=sink.joins,
             network=self.topology.stats,
             host_utilization=util,
-            checkpoints=list(collector.checkpoints),
-            event_latencies=collector.event_latencies,
-            keyed_outputs=list(collector.keyed_outputs),
-            crashes=list(collector.crashes),
-            quiesce=collector.quiesce,
+            checkpoints=sink.checkpoints,
+            event_latencies=sink.event_latencies,
+            keyed_outputs=sink.keyed_outputs,
+            crashes=sink.crashes,
+            quiesce=sink.quiesce,
             metrics=run_metrics,
         )
 

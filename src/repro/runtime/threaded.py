@@ -133,7 +133,7 @@ class _SharedSink(OutputSink):
         with self.lock:
             self.result.checkpoints.append(ckpt)
 
-    def count_event(self) -> None:
+    def count_event(self, event: Any) -> None:
         with self.lock:
             self.result.events_processed += 1
 

@@ -1,56 +1,31 @@
-"""Worker processes of the Flumina-style runtime (paper §3.4).
+"""Plan workers on the cluster simulator (paper §3.4).
 
-Each plan node becomes one :class:`WorkerActor` combining the paper's
-two components — the selective-reordering *mailbox* and the
-*event-processing* worker — in a single simulated actor (they are
-co-located on one host in Flumina too, so the cost model is the same).
+Each plan node becomes one :class:`WorkerActor`: a simulated actor that
+owns the substrate-independent :class:`~repro.runtime.protocol.WorkerCore`
+(the selective-reordering mailbox plus the join/fork worker — co-located
+on one host in Flumina too, so one actor carries both).  The actor adds
+only what the simulator needs:
 
-Protocol summary:
-
-* **Leaf**, released event: run ``update``, emit outputs.
-* **Internal**, released own event ``e@k``: send ``JoinRequest(k)`` to
-  both children, block; when both states return: ``join`` them, run
-  ``update(e)``, ``fork`` the result with the two child-subtree
-  predicates, send the halves back down, unblock.
-* **Any node**, released parent ``JoinRequest``: a leaf replies with
-  its state and blocks ("absorbed") until the matching
-  :class:`ForkStateMsg` restores it; an internal node recursively joins
-  its own children first and replies with the merged state, then on
-  restore re-forks downward.
-* **Heartbeats** are relayed down the tree, but only for tags whose
-  local buffer is empty (otherwise a pending synchronizing event could
-  still produce a join request with a smaller key than the relayed
-  frontier, breaking ordering).
-
-While blocked, a worker queues mailbox releases in arrival order and
-drains them after unblocking; this preserves the release order that
-the mailbox established.
+* the cost model — a per-message :meth:`~WorkerActor.service_time` and
+  the state-transfer size of every forked or joined state it sends;
+* the mapping from plan-worker ids to actor names;
+* fail-stop on an injected crash or a reconfiguration quiesce;
+* a :class:`SimSink` stamping every output (and, optionally, every
+  processed event) with the simulated time it happened.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from ..core.errors import RuntimeFault
-from ..core.events import Event, ImplTag
-from ..core.predicates import TagPredicate
+from ..core.events import Event
 from ..core.program import DGSProgram
 from ..plans.plan import PlanNode, SyncPlan
 from ..sim.actors import Actor
-from .checkpoint import Checkpoint
 from .faults import CrashRecord, WorkerCrash, WorkerFaultView
-from .mailbox import Buffered, Mailbox
+from .messages import ForkStateMsg, HeartbeatMsg, JoinResponse
+from .protocol import OutputSink, WorkerCore
 from .quiesce import QuiesceRecord, QuiesceSignal
-from .messages import (
-    EventMsg,
-    EventRun,
-    ForkStateMsg,
-    HeartbeatMsg,
-    JoinRequest,
-    JoinResponse,
-)
 
 StateSizeFn = Callable[[Any], float]
 
@@ -62,50 +37,53 @@ def default_state_size(state: Any) -> float:
         return 1.0
 
 
-@dataclass
-class RunCollector:
-    """Cross-worker measurement sink for one runtime execution."""
+class SimSink(OutputSink):
+    """Cross-worker measurement sink for one simulated execution.
 
-    outputs: List[Tuple[Any, float, float]] = field(default_factory=list)
-    # (value, emit_time_ms, latency_ms)
-    joins: int = 0
-    joins_per_worker: Dict[str, int] = field(default_factory=dict)
-    events_processed: int = 0
-    checkpoints: List[Checkpoint] = field(default_factory=list)
-    #: per-event processing latency (process_time - event.ts) for every
-    #: update, recorded only when track_event_latency is set (the
-    #: heartbeat-sensitivity experiments of Appendix D.1 need it).
-    track_event_latency: bool = False
-    event_latencies: List[float] = field(default_factory=list)
-    #: (order_key, value) output log plus injected-crash records, for
-    #: the fault-recovery driver (see repro.runtime.recovery).
-    record_keys: bool = False
-    keyed_outputs: List[Tuple[tuple, Any]] = field(default_factory=list)
-    crashes: List[CrashRecord] = field(default_factory=list)
-    #: Set when the root quiesced for an elastic reconfiguration
-    #: (repro.runtime.reconfigure); carries the migration snapshot.
-    quiesce: Optional[QuiesceRecord] = None
+    ``outputs`` holds ``(value, emit_time_ms, latency_ms)`` triples,
+    stamped with ``now`` — the completion time of the handler that
+    produced them, set by the emitting actor before it runs.  With
+    ``track_event_latency`` every processed event's latency
+    (``now - event.ts``) is kept too (the heartbeat-sensitivity
+    experiments of Appendix D.1 need it).  Crash and quiesce records of
+    the workers that stopped are collected here as well.
+    """
 
-    def record_output(
-        self, value: Any, emit_time: float, event_ts: float, key: Any = None
-    ) -> None:
-        self.outputs.append((value, emit_time, emit_time - event_ts))
-        if self.record_keys:
-            self.keyed_outputs.append((key, value))
+    __slots__ = ("now", "track_event_latency", "event_latencies", "crashes", "quiesce")
 
-    def record_join(self, worker: str) -> None:
-        self.joins += 1
-        self.joins_per_worker[worker] = self.joins_per_worker.get(worker, 0) + 1
+    def __init__(self, record_keys: bool = False, track_event_latency: bool = False) -> None:
+        super().__init__(record_keys)
+        self.now = 0.0
+        self.track_event_latency = track_event_latency
+        self.event_latencies: List[float] = []
+        self.crashes: List[CrashRecord] = []
+        #: Set when the root quiesced for an elastic reconfiguration
+        #: (repro.runtime.reconfigure); carries the migration snapshot.
+        self.quiesce: Optional[QuiesceRecord] = None
 
-    def output_values(self) -> List[Any]:
-        return [v for v, _, _ in self.outputs]
+    def emit(self, outs: Any, key: Optional[Tuple] = None) -> None:
+        if outs:
+            now = self.now
+            latency = now - key[0]  # type: ignore[index]
+            self.outputs.extend((out, now, latency) for out in outs)
+            if self.record_keys:
+                self.keyed_outputs.extend((key, out) for out in outs)
 
-    def latencies(self) -> List[float]:
-        return [lat for _, _, lat in self.outputs]
+    def count_event(self, event: Event) -> None:
+        self.events_processed += 1
+        if self.track_event_latency:
+            self.event_latencies.append(self.now - event.ts)
 
 
 class WorkerActor(Actor):
-    """One synchronization-plan worker (mailbox + processing loop)."""
+    """One synchronization-plan worker as a simulated actor."""
+
+    #: Flumina's per-event CPU multiplier relative to the bare update:
+    #: the mailbox's selective-reordering bookkeeping (buffer insert,
+    #: timer updates, cascade checks) runs on every event.  Calibrated
+    #: so Flumina's absolute throughput sits below the record engines,
+    #: as in the paper (Figures 4 vs 8 share no axis for this reason).
+    MAILBOX_OVERHEAD = 1.8
 
     def __init__(
         self,
@@ -115,7 +93,7 @@ class WorkerActor(Actor):
         node: PlanNode,
         plan: SyncPlan,
         program: DGSProgram,
-        collector: RunCollector,
+        sink: SimSink,
         actor_name_of: Callable[[str], str],
         state_size: StateSizeFn = default_state_size,
         checkpoint_predicate: Optional[Callable[[Event, int], bool]] = None,
@@ -123,79 +101,21 @@ class WorkerActor(Actor):
         reconfig: Optional[Any] = None,
     ) -> None:
         super().__init__(name, host)
-        self.node = node
-        self.plan = plan
-        self.program = program
-        self.collector = collector
+        self.sink = sink
+        self.actor_name_of = actor_name_of
         self.state_size = state_size
-        self.checkpoint_predicate = checkpoint_predicate
-        self.faults = faults
-        #: RootReconfigView for the root of an elastic run (see
-        #: repro.runtime.quiesce); None everywhere else.
-        self.reconfig = reconfig
         #: Fail-stop flag: a crashed actor silently absorbs everything.
         self.crashed = False
-
-        ancestors = plan.ancestors_of(node.id)
-        known = set(node.itags)
-        for anc_id in ancestors:
-            known |= plan.node(anc_id).itags
-        self.mailbox = Mailbox(known, program.depends)
-
-        self.is_leaf = node.is_leaf
-        self.is_root = plan.parent_of(node.id) is None
-        self.children_ids: Tuple[str, ...] = tuple(c.id for c in node.children)
-        self.child_actor: Dict[str, str] = {
-            side: actor_name_of(cid)
-            for side, cid in zip(("left", "right"), self.children_ids)
-        }
-        parent = plan.parent_of(node.id)
-        self.parent_actor = actor_name_of(parent.id) if parent else None
-
-        st = program.state_type(node.state_type)
-        self.update = st.update
-        if not self.is_leaf:
-            left, right = node.children
-            self.join = program.join_for(
-                left.state_type, right.state_type, node.state_type
-            )
-            self.fork = program.fork_for(
-                node.state_type, left.state_type, right.state_type
-            )
-            self.pred_left = self._subtree_pred(left)
-            self.pred_right = self._subtree_pred(right)
-        else:
-            self.join = self.fork = None  # type: ignore[assignment]
-            self.pred_left = self.pred_right = None  # type: ignore[assignment]
-
-        # Leaves hold state between synchronizations; internal nodes
-        # hold it only transiently during a join.
-        self.state: Any = None
-        self.has_state = self.is_leaf
-
-        self.pending: Deque[Buffered] = deque()
-        self.blocked = False
-        self._join_seq = 0
-        self._current_join: Optional[Tuple[Tuple[str, int], Any, Dict[str, Any]]] = None
-        self._absorb_restore: Optional[Tuple[str, int]] = None  # sub req to re-fork
-        self._last_relayed: Dict[ImplTag, Any] = {}
-        # Released-but-not-yet-dispatched items per tag: while any are
-        # in flight we must not relay that tag's frontier (a pending
-        # synchronizing event still has to reach the children as a
-        # join request with a key below the timer).
-        self._inflight: Dict[ImplTag, int] = {}
-
-    # -- helpers -------------------------------------------------------------
-    def _subtree_pred(self, child: PlanNode) -> TagPredicate:
-        tags = {t.tag for t in self.plan.subtree_itags(child.id)}
-        return self.program.true_pred().restrict(tags)
-
-    #: Flumina's per-event CPU multiplier relative to the bare update:
-    #: the mailbox's selective-reordering bookkeeping (buffer insert,
-    #: timer updates, cascade checks) runs on every event.  Calibrated
-    #: so Flumina's absolute throughput sits below the record engines,
-    #: as in the paper (Figures 4 vs 8 share no axis for this reason).
-    MAILBOX_OVERHEAD = 1.8
+        self.core = WorkerCore(
+            node,
+            plan,
+            program,
+            self.post,
+            sink,
+            checkpoint_predicate=checkpoint_predicate,
+            faults=faults,
+            reconfig=reconfig,
+        )
 
     def service_time(self, msg: Any) -> float:
         p = self.system.params
@@ -203,43 +123,22 @@ class WorkerActor(Actor):
             return p.recv_overhead_ms * 0.5
         return p.cpu_per_event_ms * self.MAILBOX_OVERHEAD
 
-    # -- actor entry point -----------------------------------------------------
+    def post(self, dst: str, msg: Any) -> None:
+        size = self.state_size(msg.state) if isinstance(msg, (JoinResponse, ForkStateMsg)) else 0.0
+        self.send(self.actor_name_of(dst), msg, state_size=size)
+
     def handle(self, msg: Any, sender: Optional[str]) -> None:
         if self.crashed:
             return  # fail-stop: messages to a dead node are lost
+        self.sink.now = self.now
         try:
-            if type(msg) is EventRun:
-                # The simulator models per-event cost; expand runs at
-                # the door instead of threading them through its
-                # instrumented state machine.
-                for e in msg.events():
-                    self.handle(EventMsg(e), sender)
-                return
-            if isinstance(msg, EventMsg):
-                released = self.mailbox.insert(msg.event.itag, msg.event.order_key, msg)
-                self._enqueue(released)
-            elif isinstance(msg, HeartbeatMsg):
-                if self.faults is not None and self.faults.should_drop_heartbeat(msg.key):
-                    return
-                released = self.mailbox.advance(msg.itag, msg.key)
-                self._enqueue(released)
-            elif isinstance(msg, JoinRequest):
-                released = self.mailbox.insert(msg.itag, msg.key, msg)
-                self._enqueue(released)
-            elif isinstance(msg, JoinResponse):
-                self._on_join_response(msg)
-            elif isinstance(msg, ForkStateMsg):
-                self._on_fork_state(msg)
-            else:
-                raise RuntimeFault(f"worker {self.name} got unknown message {msg!r}")
-            self._drain()
-            self._relay_frontiers()
+            self.core.handle(msg)
         except WorkerCrash as crash:
             # Events processed before the crash already queued their
             # sends in the outbox; those still depart (they happened
             # before the failure).  The triggering event did not.
             self.crashed = True
-            self.collector.crashes.append(crash.record)
+            self.sink.crashes.append(crash.record)
         except QuiesceSignal as sig:
             # Planned stop for reconfiguration: the triggering event IS
             # fully processed (outputs recorded, snapshot captured);
@@ -247,184 +146,4 @@ class WorkerActor(Actor):
             # silent like a fail-stop — the driver restarts the cluster
             # on the migrated plan.
             self.crashed = True
-            self.collector.quiesce = sig.record
-
-    # -- queue management ---------------------------------------------------------
-    def _enqueue(self, released: List[Buffered]) -> None:
-        for b in released:
-            self._inflight[b.itag] = self._inflight.get(b.itag, 0) + 1
-        self.pending.extend(released)
-
-    def _drain(self) -> None:
-        while self.pending and not self.blocked:
-            buffered = self.pending.popleft()
-            # Dispatch makes the item visible downstream (join requests
-            # enter the outbox before any later frontier heartbeat), so
-            # the tag may be relayed again after this point.
-            self._inflight[buffered.itag] -= 1
-            item = buffered.item
-            if isinstance(item, EventMsg):
-                self._process_event(item.event)
-            elif isinstance(item, JoinRequest):
-                self._process_join_request(item)
-            else:  # pragma: no cover - defensive
-                raise RuntimeFault(f"unexpected buffered item {item!r}")
-
-    # -- event processing -----------------------------------------------------------
-    def _process_event(self, event: Event) -> None:
-        if self.faults is not None:
-            # May raise WorkerCrash (fail-stop at the event boundary).
-            self.faults.note_event(event.ts)
-        self.collector.events_processed += 1
-        if self.collector.track_event_latency:
-            self.collector.event_latencies.append(self.now - event.ts)
-        if self.is_leaf:
-            if not self.has_state:
-                raise RuntimeFault(
-                    f"leaf {self.name} processing event while absorbed"
-                )
-            self.state, outs = self.update(self.state, event)
-            for out in outs:
-                self.collector.record_output(out, self.now, event.ts, key=event.order_key)
-        else:
-            self._start_join(("event", event))
-
-    def _process_join_request(self, req: JoinRequest) -> None:
-        if self.is_leaf:
-            if not self.has_state:
-                raise RuntimeFault(f"leaf {self.name} double-absorbed")
-            size = self.state_size(self.state)
-            self.send(
-                req.reply_to,
-                JoinResponse(req.req_id, req.side, self.state, size, self._backlog()),
-                state_size=size,
-            )
-            self.state = None
-            self.has_state = False
-            self.blocked = True
-            self._absorb_restore = None
-        else:
-            self._start_join(("parent", req))
-
-    def _backlog(self) -> int:
-        """Queue depth at this worker: buffered + released-but-pending
-        mailbox items (the load signal piggybacked on JoinResponse)."""
-        return self.mailbox.buffered_count() + len(self.pending)
-
-    # -- join protocol ------------------------------------------------------------
-    def _start_join(self, ctx: Tuple[str, Any]) -> None:
-        self._join_seq += 1
-        req_id = (self.name, self._join_seq)
-        if ctx[0] == "event":
-            itag, key = ctx[1].itag, ctx[1].order_key
-        else:
-            itag, key = ctx[1].itag, ctx[1].key
-        for side in ("left", "right"):
-            self.send(
-                self.child_actor[side],
-                JoinRequest(req_id, itag, key, self.name, side),
-            )
-        self.blocked = True
-        self._current_join = (req_id, ctx, {})
-
-    def _on_join_response(self, msg: JoinResponse) -> None:
-        if self._current_join is None or self._current_join[0] != msg.req_id:
-            raise RuntimeFault(f"{self.name}: unexpected join response {msg.req_id}")
-        req_id, ctx, states = self._current_join
-        states[msg.side] = msg
-        if len(states) < 2:
-            return
-        joined = self.join(states["left"].state, states["right"].state)
-        subtree_backlog = states["left"].backlog + states["right"].backlog
-        self.collector.record_join(self.name)
-        self._current_join = None
-        if ctx[0] == "event":
-            event: Event = ctx[1]
-            self.collector.events_processed += 1
-            if self.collector.track_event_latency:
-                self.collector.event_latencies.append(self.now - event.ts)
-            joined, outs = self.update(joined, event)
-            for out in outs:
-                self.collector.record_output(out, self.now, event.ts, key=event.order_key)
-            if (
-                self.is_root
-                and self.checkpoint_predicate is not None
-                and self.checkpoint_predicate(event, len(self.collector.checkpoints))
-            ):
-                # Appendix D.2: the root's joined state *is* a
-                # consistent snapshot of the distributed state.
-                self.collector.checkpoints.append(
-                    Checkpoint(event.order_key, event.ts, joined)
-                )
-            if self.is_root and self.reconfig is not None:
-                # Elastic reconfiguration hook (may raise QuiesceSignal
-                # — caught in handle(); the fork below never happens).
-                self.reconfig.maybe_quiesce(
-                    event, subtree_backlog + self._backlog(), joined
-                )
-            self._fork_down(req_id, joined)
-            self.blocked = False
-        else:
-            req: JoinRequest = ctx[1]
-            size = self.state_size(joined)
-            self.send(
-                req.reply_to,
-                JoinResponse(
-                    req.req_id,
-                    req.side,
-                    joined,
-                    size,
-                    subtree_backlog + self._backlog(),
-                ),
-                state_size=size,
-            )
-            # Stay blocked ("absorbed"): our subtree has no state until
-            # the parent's ForkStateMsg arrives; remember our own
-            # request id so we can re-fork to our children then.
-            self._absorb_restore = req_id
-
-    def _on_fork_state(self, msg: ForkStateMsg) -> None:
-        if self.is_leaf:
-            self.state = msg.state
-            self.has_state = True
-            self.blocked = False
-        else:
-            sub_req = self._absorb_restore
-            if sub_req is None:
-                raise RuntimeFault(f"{self.name}: fork state without absorption")
-            self._absorb_restore = None
-            self._fork_down(sub_req, msg.state)
-            self.blocked = False
-
-    def _fork_down(self, req_id: Tuple[str, int], state: Any) -> None:
-        s_left, s_right = self.fork(state, self.pred_left, self.pred_right)
-        for side, s in (("left", s_left), ("right", s_right)):
-            size = self.state_size(s)
-            self.send(
-                self.child_actor[side],
-                ForkStateMsg(req_id, s, size),
-                state_size=size,
-            )
-
-    # -- heartbeat relay ------------------------------------------------------------
-    def _relay_frontiers(self) -> None:
-        """Relay progress for every known tag whose buffer is empty.
-
-        Safe because a tag with an empty local buffer cannot generate a
-        join request with a key below its timer (arrivals are monotone
-        per tag)."""
-        if self.is_leaf:
-            return
-        for itag in self.mailbox.itags:
-            if self._inflight.get(itag, 0) > 0:
-                continue
-            frontier = self.mailbox.frontier(itag)
-            if frontier is None or frontier[0] == float("-inf"):
-                continue
-            last = self._last_relayed.get(itag)
-            if last is not None and last >= frontier:
-                continue
-            self._last_relayed[itag] = frontier
-            hb = HeartbeatMsg(itag, frontier)
-            for side in self.child_actor:
-                self.send(self.child_actor[side], hb)
+            self.sink.quiesce = sig.record

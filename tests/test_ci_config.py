@@ -126,6 +126,25 @@ class TestPerfGateLane:
         assert gate and "if" not in gate[0]
 
 
+class TestBenchSmokeLane:
+    def test_artifact_checksums_printed_and_uploaded(self, jobs):
+        steps = jobs["bench-smoke"]["steps"]
+        runs = [str(s.get("run", "")) for s in steps]
+        smoke = next(i for i, r in enumerate(runs) if "benchmarks/bench_*.py" in r)
+        assert "--smoke" in runs[smoke]
+        # Checksums of the regenerated tables, after the smoke run.
+        sums = [i for i, r in enumerate(runs) if "sha256sum benchmarks/results/*.txt" in r]
+        assert sums and sums[0] > smoke
+        uploads = [
+            s
+            for s in steps[smoke:]
+            if "upload-artifact" in str(s.get("uses", ""))
+            and s.get("with", {}).get("path") == "benchmarks/results/*.txt"
+        ]
+        assert uploads, "the smoke lane must upload the artifact tables"
+        assert uploads[0]["with"].get("if-no-files-found") == "error"
+
+
 class TestPerfTrendLane:
     def test_nightly_trend_uploads_ungated_records(self, jobs):
         assert "perf-trend" in jobs, "nightly perf trend lane missing"

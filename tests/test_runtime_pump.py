@@ -1,9 +1,10 @@
-"""The coordinator's producer pump on the real substrates.
+"""The producers' input contract on every substrate, and the pump.
 
 * A stream that breaks the :class:`InputStream` contract (events out of
   ts order, or an event of another implementation tag) is rejected
-  with :class:`InputError` on every substrate — never silently
-  re-sorted — and the rejection releases the workers promptly.
+  with :class:`InputError` on every substrate, the simulator included
+  — never silently re-sorted — and the rejection releases the workers
+  promptly.
 * ``RunOptions(pace=...)`` is honoured on every run path, including the
   recovering one a ``fault_plan`` selects.
 """
@@ -25,6 +26,7 @@ from repro.runtime import (
 )
 
 SUBSTRATES = {
+    "sim": ("sim", RunOptions()),
     "threaded": ("threaded", RunOptions(timeout_s=30.0)),
     "process": ("process", RunOptions(timeout_s=30.0)),
     "tcp-2-nodes": ("process", RunOptions(timeout_s=30.0, nodes=2)),
