@@ -18,7 +18,11 @@ runs:
   arriving at one worker are silently discarded.  Drops are bounded to
   timestamps below ``before_ts`` so the closing heartbeat (which lets a
   finite run drain) is always delivered — without it no finite
-  execution could terminate, faults or not.
+  execution could terminate, faults or not.  A closed-loop producer
+  sends only the heartbeats past its stream's last event (every
+  earlier one is subsumed by the next event), so drops land on the
+  simulator's and the open loop's (``pace=``) full schedules and on
+  the frontiers internal workers relay down the tree.
 
 Crash faults fire **once** across a whole recovered execution: the
 recovery driver marks them fired, so replaying the input suffix after
@@ -120,7 +124,8 @@ class CrashRecord:
 
 class WorkerFaultView:
     """One worker's per-attempt view of the plan: local trigger
-    counters plus the not-yet-fired crash faults assigned to it."""
+    counters plus the not-yet-fired crash faults assigned to it.
+    ``dropped`` counts the heartbeats this view has discarded."""
 
     def __init__(
         self,
@@ -132,6 +137,7 @@ class WorkerFaultView:
         self._crashes = list(crashes)
         self._drops = [[d.before_ts, d.count] for d in drops]
         self.events_seen = 0
+        self.dropped = 0
 
     def note_event(self, ts: float) -> None:
         """Called before a worker processes an application event;
@@ -148,6 +154,7 @@ class WorkerFaultView:
             if ts < before_ts and (budget is None or budget > 0):
                 if budget is not None:
                     window[1] = budget - 1
+                self.dropped += 1
                 return True
         return False
 

@@ -53,7 +53,9 @@ class EventRun:
     re-packs without re-deriving it.  Order keys are materialized
     lazily and cached: every event in a run shares the same
     ``(stable(tag), stable(stream))`` suffix, so a run's keys cost one
-    tuple per event instead of two nested ones.
+    tuple per event instead of two nested ones.  ``first_key`` and
+    ``last_key`` build just their one key, so a run the mailbox buffers
+    and releases whole never materializes the rest.
 
     Runs are *not* wrapped in :class:`EventMsg`: a run is itself a
     protocol message, and its identity on the in-flight accounting
@@ -95,11 +97,17 @@ class EventRun:
 
     @property
     def first_key(self) -> tuple:
-        return self.keys()[0]
+        ks = self._keys
+        if ks is not None:
+            return ks[0]
+        return (self.ts[0], _stable_key(self.tag), _stable_key(self.stream))
 
     @property
     def last_key(self) -> tuple:
-        return self.keys()[-1]
+        ks = self._keys
+        if ks is not None:
+            return ks[-1]
+        return (self.ts[-1], _stable_key(self.tag), _stable_key(self.stream))
 
     def event(self, i: int) -> Event:
         p = self.payloads[i] if self.payloads is not None else None

@@ -305,6 +305,9 @@ class WorkerMetrics:
 
     # -- hot-path hooks -------------------------------------------------
     def note_backlog(self, depth: int) -> None:
+        """``depth`` counts events (a columnar run of ``n`` counts
+        ``n``), the unit of ``WorkerCore.unprocessed()`` and of the
+        queue depth the AutoScaler compares it with."""
         if depth > self.max_backlog:
             self.max_backlog = depth
         if depth > self.backlog_window:

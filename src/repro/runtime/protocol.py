@@ -29,7 +29,6 @@ owns a private one).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, deque
 from itertools import islice
 from operator import attrgetter, lt
@@ -210,6 +209,10 @@ class WorkerCore:
         self.has_state = self.is_leaf
         self._checkpoints_taken = 0
         self.pending: Deque[Buffered] = deque()
+        #: Events in ``pending`` (a columnar run of ``n`` counts ``n``),
+        #: kept incrementally for ``unprocessed()`` and the backlog
+        #: high-water, which count events like the AutoScaler does.
+        self._pending_events = 0
         self.blocked = False
         self._join_seq = 0
         self._current: Optional[Tuple[Tuple[str, int], Any, Dict[str, Any]]] = None
@@ -241,40 +244,43 @@ class WorkerCore:
     def unprocessed(self) -> int:
         """Items still buffered or pending (event-level: a columnar run
         of ``n`` counts ``n``) — must be 0 after a drain."""
-        n = self.mailbox.buffered_count()
-        for b in self.pending:
-            n += len(b.item) if type(b.item) is EventRun else 1
-        return n
+        return self.mailbox.buffered_count() + self._pending_events
 
     # -- protocol --------------------------------------------------------
     def _enqueue(self, released: List[Buffered]) -> None:
+        total = 0
         for b in released:
             item = b.item
             n = len(item) if type(item) is EventRun else 1
             self._inflight_tags[b.itag] = self._inflight_tags.get(b.itag, 0) + n
+            total += n
+        self._pending_events += total
         self.pending.extend(released)
 
     def _drain(self) -> None:
         if self.metrics is not None:
-            self.metrics.note_backlog(len(self.pending))
+            self.metrics.note_backlog(self._pending_events)
         while self.pending and not self.blocked:
             buffered = self.pending.popleft()
             item = buffered.item
             if type(item) is EventRun:
                 if self.is_leaf and self.faults is None:
-                    self._inflight_tags[buffered.itag] -= len(item)
+                    n = len(item)
+                    self._inflight_tags[buffered.itag] -= n
+                    self._pending_events -= n
                     self._process_run(item)
                 else:
                     # Fallback boundary: fault hooks need the per-event
                     # crash seam, and internal nodes join per event.
                     # Expand in place; the per-event items below repay
-                    # the run's inflight count one by one.
+                    # the run's inflight and pending counts one by one.
                     self.pending.extendleft(
                         Buffered(buffered.itag, e.order_key, EventMsg(e))
                         for e in reversed(item.events())
                     )
                 continue
             self._inflight_tags[buffered.itag] -= 1
+            self._pending_events -= 1
             if isinstance(item, EventMsg):
                 self._process_event(item.event)
             else:
@@ -555,11 +561,11 @@ _MAX_RUN = 512
 
 
 def _check_stream(itag: ImplTag, events: Sequence[Event], ts: Sequence[Any]) -> None:
-    """Enforce the :class:`InputStream` contract the linear merge in
-    :func:`producer_messages` relies on: events strictly increasing in
-    ts, each carrying the stream's own implementation tag.  The scans
-    run at C speed; only a failing stream pays for locating the
-    offender."""
+    """Enforce the :class:`InputStream` contract the producers
+    (:func:`producer_messages`, :func:`paced_producer_schedule`) rely
+    on: events strictly increasing in ts, each carrying the stream's
+    own implementation tag.  The scans run at C speed; only a failing
+    stream pays for locating the offender."""
     if not all(map(lt, ts, islice(ts, 1, None))):
         k = next(k for k in range(1, len(ts)) if not ts[k - 1] < ts[k])
         raise InputError(
@@ -579,65 +585,57 @@ def _check_stream(itag: ImplTag, events: Sequence[Event], ts: Sequence[Any]) -> 
 
 
 def producer_messages(stream: Any, end_ts: float) -> List[Any]:
-    """One input stream's wire traffic, in order-key order.
+    """One input stream's closed-loop wire traffic, in order-key order.
 
-    Merges the stream's events with its heartbeat schedule (periodic
-    heartbeats plus the closing one at ``end_ts`` that lets every
-    mailbox drain) in one linear pass.  Each stretch of events between
-    two heartbeats leaves as columnar :class:`EventRun`\\ s of at most
-    512 events; a stretch of one event, or an event the codec cannot
-    pack, stays a plain :class:`EventMsg`.  A heartbeat whose time
-    equals an event's ts is redundant (the event itself advances the
-    itag) and is skipped.  The result is message-for-message the same
-    as :func:`~repro.runtime.wire.coalesce_event_runs` (default
-    ``max_run``) over the per-event traffic, but no per-event message
-    or order key is built and nothing is sorted.
+    The stream's events leave first, as columnar :class:`EventRun`\\ s
+    of at most 512 events (a one-event remainder, or an event the codec
+    cannot pack, stays a plain :class:`EventMsg`), followed by the
+    heartbeats of its schedule that come after its last event (the
+    closing one at ``end_ts`` among them).  Every other heartbeat is
+    subsumed by the later event that follows it on the owner's FIFO
+    channel (see :func:`pump_streams`): that event's larger order key
+    advances the mailbox timer past the heartbeat's, and release is
+    monotone in the timers.  The result equals
+    :func:`~repro.runtime.wire.coalesce_event_runs` (default
+    ``max_run``) over the per-event traffic with those heartbeats
+    removed, built in one linear pass: no per-event message or order
+    key, no sort.
 
-    This is the producer behaviour shared by the threaded, process and
-    cluster runtimes (the simulated runtime injects the same schedule
-    through the simulator's clock instead).  A stream that breaks the
-    :class:`InputStream` contract — not strictly increasing in ts, or
-    an event of another implementation tag — raises
-    :class:`InputError`.
+    The open loop keeps every heartbeat (:func:`paced_producer_schedule`),
+    and the simulated runtime injects the full schedule through the
+    simulator's clock.  A stream that breaks the :class:`InputStream`
+    contract — not strictly increasing in ts, or an event of another
+    implementation tag — raises :class:`InputError`.
     """
     itag = stream.itag
     tag, sid = itag
     events = stream.events
     ts = tuple([e.ts for e in events])
     _check_stream(itag, events, ts)
-    payloads = tuple([e.payload for e in events])
-    shape = uniform_run_shape(tag, sid, ts, payloads)
-    if shape == _SHAPE_FN:
-        payloads = None
+    n = len(ts)
     out: List[Any] = []
-    emit = out.append
-
-    def stretch(i: int, j: int) -> None:
+    if n:
+        payloads = tuple([e.payload for e in events])
+        shape = uniform_run_shape(tag, sid, ts, payloads)
         if shape < 0:
             # Mixed or exotic shapes: the codec's per-event rules decide.
-            msgs = [EventMsg(e) for e in events[i:j]]
-            out.extend(coalesce_event_runs(msgs, max_run=_MAX_RUN))
-            return
-        for k in range(i, j, _MAX_RUN):
-            m = min(k + _MAX_RUN, j)
-            if m - k == 1:
-                emit(EventMsg(events[k]))
-            else:
-                cols = payloads[k:m] if payloads is not None else None
-                emit(EventRun(tag, sid, shape, ts[k:m], cols))
-
+            out = coalesce_event_runs([EventMsg(e) for e in events], max_run=_MAX_RUN)
+        else:
+            if shape == _SHAPE_FN:
+                payloads = None
+            for k in range(0, n, _MAX_RUN):
+                m = min(k + _MAX_RUN, n)
+                if m - k == 1:
+                    out.append(EventMsg(events[k]))
+                else:
+                    cols = payloads[k:m] if payloads is not None else None
+                    out.append(EventRun(tag, sid, shape, ts[k:m], cols))
     suffix = (_stable_key(tag), _stable_key(sid))
-    i, n = 0, len(ts)
-    for hb in _heartbeat_times(stream.heartbeat_interval, end_ts):
-        j = bisect_left(ts, hb, i)
-        if j < n and ts[j] == hb:
-            continue  # the event at hb advances the itag itself
-        if j > i:
-            stretch(i, j)
-            i = j
-        emit(HeartbeatMsg(itag, (hb,) + suffix))
-    if i < n:
-        stretch(i, n)
+    out.extend(
+        HeartbeatMsg(itag, (hb,) + suffix)
+        for hb in _heartbeat_times(stream.heartbeat_interval, end_ts)
+        if not n or hb > ts[-1]
+    )
     return out
 
 
@@ -646,31 +644,38 @@ def paced_producer_schedule(
     owner_of: Callable[[Any], str],
     end_ts: float,
 ) -> List[Tuple[float, str, Any]]:
-    """Merge every stream's producer traffic into one open-loop
-    schedule of ``(ts, owner_id, msg)`` triples.
+    """Merge every stream's events and full heartbeat schedule into one
+    open-loop schedule of ``(ts, owner_id, msg)`` triples.
 
-    Runs are expanded back into per-event :class:`EventMsg`\\ s: the
-    paced pump releases each event against the wall clock.  The sort
-    is stable on ``(ts, stream_index, seq)``, so per-stream FIFO (a
-    mailbox invariant) is preserved while a single paced pump thread
-    replays the merged schedule against the wall clock
-    (``RunOptions.pace`` timestamp-units per second).
+    Unlike the closed loop (:func:`producer_messages`), every event is
+    its own :class:`EventMsg` and every heartbeat stays: the paced pump
+    releases each message against the wall clock, so the next event may
+    be far off and a heartbeat is the only progress its owner sees in
+    between.  A heartbeat whose time equals an event's ts is redundant
+    (the event itself advances the itag) and is skipped.  Within one
+    stream every message has its own ts, so a stable sort on
+    ``(ts, stream_index)`` keeps per-stream FIFO (a mailbox invariant)
+    while a single paced pump thread replays the merged schedule
+    (``RunOptions.pace`` timestamp-units per second).  A stream that
+    breaks the :class:`InputStream` contract raises :class:`InputError`.
     """
-    sched: List[Tuple[float, int, int, str, Any]] = []
+    sched: List[Tuple[float, int, str, Any]] = []
     for idx, stream in enumerate(streams):
+        itag = stream.itag
+        events = stream.events
+        ts = tuple([e.ts for e in events])
+        _check_stream(itag, events, ts)
         owner = owner_of(stream)
-        seq = 0
-        for msg in producer_messages(stream, end_ts):
-            if type(msg) is EventRun:
-                for e in msg.events():
-                    sched.append((e.ts, idx, seq, owner, EventMsg(e)))
-                    seq += 1
-                continue
-            ts = msg.event.ts if type(msg) is EventMsg else msg.key[0]
-            sched.append((ts, idx, seq, owner, msg))
-            seq += 1
-    sched.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [(ts, owner, msg) for ts, _i, _s, owner, msg in sched]
+        sched.extend((e.ts, idx, owner, EventMsg(e)) for e in events)
+        on_event = set(ts)
+        suffix = (_stable_key(itag.tag), _stable_key(itag.stream))
+        sched.extend(
+            (hb, idx, owner, HeartbeatMsg(itag, (hb,) + suffix))
+            for hb in _heartbeat_times(stream.heartbeat_interval, end_ts)
+            if hb not in on_event
+        )
+    sched.sort(key=lambda t: (t[0], t[1]))
+    return [(ts, owner, msg) for ts, _i, owner, msg in sched]
 
 
 def paced_schedule_anchor(sched: Sequence[Tuple[float, str, Any]]) -> float:
@@ -699,9 +704,14 @@ def pump_streams(
     that owns its itag and return the number of events sent.
 
     Closed loop (``pace=None``), each stream's :func:`producer_messages`
-    go out back to back, runs included.  Open loop, the merged
-    :func:`paced_producer_schedule` is replayed against the wall clock
-    at ``pace`` timestamp-units per second, anchored at the first event
+    go out back to back to its one owner: its events as runs of up to
+    512, then the heartbeats no event of it follows.  Whatever a left-out
+    heartbeat would have released is released when the next event is
+    handled, because the owner's channel is FIFO; so a stream's traffic
+    must never be split across channels or reordered.  Open loop, the merged
+    :func:`paced_producer_schedule` (every event its own message, every
+    heartbeat kept) is replayed against the wall clock at ``pace``
+    timestamp-units per second, anchored at the first event
     (:func:`paced_schedule_anchor`); ``flush`` pushes out a batching
     sender's buffered messages before each sleep.  A stream that
     breaks the :class:`InputStream` contract raises :class:`InputError`

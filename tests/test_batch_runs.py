@@ -155,6 +155,31 @@ class TestMailboxRuns:
         assert mb.buffered_count() == 0
         assert mb.timer(self.V) == run.last_key
 
+    def test_whole_release_builds_no_per_event_keys(self):
+        """Insert and whole release need only the run's boundary keys,
+        which are built one at a time: the per-event key list stays
+        unmaterialized."""
+        mb = self.mailbox()
+        msgs = vmsgs(512, start=1)
+        run = one_run(msgs)
+        mb.insert_run(run)
+        (rel,) = mb.advance(self.B, self.bkey(1000.0))
+        assert rel.item is run and run._keys is None
+        assert run.first_key == msgs[0].event.order_key
+        assert run.last_key == msgs[-1].event.order_key
+        assert run._keys is None
+
+    def test_split_halves_keep_exact_boundary_keys(self):
+        mb = self.mailbox()
+        msgs = vmsgs(10, start=1)
+        mb.insert_run(one_run(msgs))
+        (prefix,) = mb.advance(self.B, self.bkey(5.5))
+        (rest,) = mb.advance(self.B, self.bkey(50.0))
+        for b, part in ((prefix, msgs[:5]), (rest, msgs[5:])):
+            assert b.key == b.item.first_key == part[0].event.order_key
+            assert b.item.last_key == part[-1].event.order_key
+            assert b.item.keys() == [m.event.order_key for m in part]
+
     def test_partial_release_splits_at_the_dependence_bound(self):
         mb = self.mailbox()
         run = one_run(vmsgs(10, start=1))  # ts 1..10
@@ -298,6 +323,15 @@ def reference_producer(stream, end_ts):
     return [msg for _, msg in items]
 
 
+def drop_subsumed(msgs):
+    """Remove every heartbeat that a later event of the stream follows:
+    on the owner's FIFO channel that event's larger order key advances
+    the mailbox timer past the heartbeat's, so the heartbeat promises
+    nothing the event does not."""
+    last = max((i for i, m in enumerate(msgs) if type(m) is EventMsg), default=-1)
+    return [m for i, m in enumerate(msgs) if type(m) is not HeartbeatMsg or i > last]
+
+
 def wire_view(msgs):
     """Type-exact, field-by-field view of a message list (EventRun has
     no __eq__, and 3 == 3.0 would hide a changed scalar type)."""
@@ -342,8 +376,9 @@ PRODUCER_CASES = {
 
 
 class TestProducerMessages:
-    """The columnar producer against the per-event reference plus
-    :func:`coalesce_event_runs`: message-for-message identical."""
+    """The columnar producer against the per-event reference with its
+    subsumed heartbeats removed, plus :func:`coalesce_event_runs`:
+    message-for-message identical."""
 
     @pytest.mark.parametrize("case", sorted(PRODUCER_CASES))
     @pytest.mark.parametrize("end_ts", ["after", "inside"])
@@ -354,14 +389,22 @@ class TestProducerMessages:
         else:  # a caller-chosen end inside the stream's span
             end = stream.events[len(stream.events) // 2].ts if stream.events else 0.5
         got = producer_messages(stream, end)
-        want = coalesce_event_runs(reference_producer(stream, end), max_run=512)
+        want = coalesce_event_runs(drop_subsumed(reference_producer(stream, end)), max_run=512)
         assert wire_view(got) == wire_view(want)
 
     def test_cases_exercise_every_branch(self):
         """The golden cases above really cover runs, plain events,
-        capped runs, a one-event remainder and skipped heartbeats."""
+        capped runs, a one-event remainder, skipped heartbeats and
+        periodic heartbeats kept past the last event."""
         long = producer_messages(PRODUCER_CASES["long-stretches"], 10.0)
-        assert max(len(m) for m in long if type(m) is EventRun) == 512
+        assert [len(m) for m in long if type(m) is EventRun] == [512, 512, 276]
+        # Heartbeats never cut a stream: 300 events, one run.
+        flat = producer_messages(PRODUCER_CASES["float-ts-int-payload"], 99.0)
+        assert [type(m).__name__ for m in flat[:2]] == ["EventRun", "HeartbeatMsg"]
+        assert len(flat[0]) == 300
+        sparse = producer_messages(PRODUCER_CASES["sparse-events"], 33.0)
+        assert type(sparse[0]) is EventRun and len(sparse[0]) == 5
+        assert [m.key[0] for m in sparse[1:]] == [31.5, 32.0, 32.5, 33.0]
         tail = producer_messages(PRODUCER_CASES["stretch-remainder-of-one"], 200.0)
         assert [type(m).__name__ for m in tail] == [
             "EventRun", "EventRun", "EventMsg", "HeartbeatMsg"

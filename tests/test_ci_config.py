@@ -126,6 +126,16 @@ class TestPerfGateLane:
         assert gate and "if" not in gate[0]
 
 
+class TestTestsLane:
+    def test_runs_the_benchmark_self_tests(self, jobs):
+        """perfbench/ replays the runtime's own traffic; its tests are
+        outside the default collection, so the tests job runs them."""
+        runs = [str(s.get("run", "")) for s in jobs["tests"]["steps"]]
+        assert any("pytest" in r and "perfbench/tests" in r for r in runs), (
+            "the tests job no longer runs perfbench/tests"
+        )
+
+
 class TestBenchSmokeLane:
     def test_artifact_checksums_printed_and_uploaded(self, jobs):
         steps = jobs["bench-smoke"]["steps"]

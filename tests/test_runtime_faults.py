@@ -88,6 +88,7 @@ class TestFaultPlan:
         assert not view.should_drop_heartbeat((60.0,))  # past before_ts
         assert view.should_drop_heartbeat((20.0,))
         assert not view.should_drop_heartbeat((30.0,))  # budget exhausted
+        assert view.dropped == 2
 
     def test_plan_and_views_picklable(self):
         plan = FaultPlan(
@@ -247,6 +248,49 @@ class TestCrashRecoveryAcrossBackends:
         ref = run_sequential_reference(prog, streams)
         assert output_multiset(run.outputs) == output_multiset(ref)
         assert run.recovery.attempts == 2
+
+
+class _ViewKeepingPlan(FaultPlan):
+    """A fault plan that keeps every per-worker view it hands out, so a
+    test can read how many heartbeats each worker dropped."""
+
+    def __init__(self, *faults):
+        super().__init__(*faults)
+        self.views = []
+
+    def view_for(self, worker):
+        view = super().view_for(worker)
+        if view is not None:
+            self.views.append(view)
+        return view
+
+
+class TestHeartbeatDropsLand:
+    """The closed-loop producer sends only the heartbeats past each
+    stream's last event, so drops land where the full heartbeat
+    schedule still flows: the open loop (``pace=``) and the simulator
+    (and on frontiers relayed down the tree).  Both must really drop
+    some and still match the spec."""
+
+    @pytest.mark.parametrize("backend", ["threaded", "sim"])
+    def test_drops_happen_and_are_masked(self, backend):
+        prog, streams, plan = vb_case()
+        all_ts = [e.ts for s in streams for e in s.events]
+        last_ts = max(all_ts)
+        faults = _ViewKeepingPlan(
+            *(DropHeartbeats(w.id, before_ts=last_ts * 0.9) for w in plan.workers())
+        )
+        # The threaded run is paced at ~0.4 s of input; the simulator
+        # has no wall clock to pace against.
+        pace = (last_ts - min(all_ts)) / 0.4 if backend == "threaded" else None
+        opts = RunOptions(fault_plan=faults, pace=pace, timeout_s=30.0)
+        run = run_on_backend(backend, prog, plan, streams, options=opts)
+        dropped = {v.worker: v.dropped for v in faults.views}
+        # The root hears only the producer's heartbeats (nothing relays
+        # to it), so its drops show the full schedule really flowed.
+        assert dropped[plan.root.id] >= 1
+        ref = run_sequential_reference(prog, streams)
+        assert output_multiset(run.outputs) == output_multiset(ref)
 
 
 class TestStatefulPredicates:

@@ -34,6 +34,9 @@ from repro.runtime import (
     local_nodes,
     run_on_backend,
 )
+from repro.runtime.messages import EventMsg, HeartbeatMsg
+from repro.runtime.protocol import OutputSink, WorkerCore, initial_leaf_states
+from repro.runtime.wire import coalesce_event_runs
 
 BACKENDS = ("sim", "threaded", "process")
 
@@ -189,6 +192,29 @@ class TestWorkerMetrics:
         snaps = {s.worker: s for s in root.all_snapshots()}
         assert set(snaps) == {"root", "w1"}
         assert snaps["w1"].events_processed == 9
+
+
+    def test_backlog_counts_the_events_of_a_released_run(self):
+        """The backlog high-water is event-level, like ``unprocessed()``
+        and the AutoScaler's queue depth: a released 20-event run
+        counts 20, not 1."""
+        prog, streams, plan = _small_case()
+        leaf_node = plan.leaves()[0]
+        (own,) = leaf_node.itags
+        (values,) = [s for s in streams if s.itag == own]
+        (barriers,) = [s for s in streams if s.itag.tag == vb.BARRIER_TAG]
+        first_barrier = barriers.events[0]
+        (run,) = coalesce_event_runs(
+            [EventMsg(e) for e in values.events if e.ts < first_barrier.ts]
+        )
+        metrics = WorkerMetrics(leaf_node.id)
+        leaf = WorkerCore(leaf_node, plan, prog, lambda *_: None, OutputSink(), metrics=metrics)
+        leaf.state = initial_leaf_states(plan, prog)[leaf_node.id]
+        leaf.handle(run)  # buffered: the barrier tag has made no progress
+        assert metrics.max_backlog == 0
+        leaf.handle(HeartbeatMsg(barriers.itag, first_barrier.order_key))
+        assert leaf.unprocessed() == 0
+        assert metrics.max_backlog >= len(run) > 1
 
 
 class TestRunEntryPoints:
